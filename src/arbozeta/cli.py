@@ -3,7 +3,7 @@
 Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  ``ARBOZETA_MAX_N`` overrides the
-summation cap.
+cap on the polylog horizon.
 """
 from __future__ import annotations
 

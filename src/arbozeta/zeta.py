@@ -1,22 +1,32 @@
 """Numeric evaluation of (star) multiple zeta values, polylogarithms, and
 exact reduction of arborified zeta values to combinations of them.
 
-The series evaluator follows the iterated cumulative-sum scheme: one array
-per nesting level over n <= N (strict sums shift by one, star sums do not),
-with the discarded tail estimated and certifiably bounded by the per-level
-Euler-Maclaurin models of :mod:`arbozeta.tails`.  All evaluations return a
-value together with a certified absolute error bound.
+Multiple zeta values come from Hölder convolution at z = 1/2 (Borwein,
+Bradley, Broadhurst and Lisoněk, "Special values of multiple polylogarithms",
+Trans. AMS 353, 2001).  For the binary word w = binarise(s) of length n,
+
+    zeta(w) = sum_{k=0..n} Li_{tau(w[:k])}(1/2) * Li_{w[k:]}(1/2),
+
+where tau reverses a word and swaps x and y.  Every factor is a power series
+in z summed in long double up to a horizon N where its tail, bounded
+analytically, is negligible; one innermost-first pass over a word gives the
+values of all its suffixes.  Strict values are always computed to the
+kernel's own floor (about 1e-15 relative) and cached, star values are sums of
+strict ones (:func:`star_to_strict`), and the requested precision is only
+compared with the certified bound at the end.
+
+Every evaluation returns a value with a certified absolute error bound made
+of the series tail, the roundoff of the long-double pass, the conversion to
+float and the float arithmetic that combines the factors.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import tails
 from .errors import (
     DivergentIndex,
     DomainError,
@@ -27,23 +37,28 @@ from .errors import (
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb
 from .trees import Alphabet, Forest
-from .words import Word, debinarise, is_semiconvergent_word
+from .words import Word, binarise, debinarise, is_semiconvergent_word
 
 Composition = tuple[int, ...]
 
 DEFAULT_PRECISION = 1e-8
 DEFAULT_MAX_N = 10**7
-MIN_N = 8192
+FIRST_N = 64  # first polylog horizon tried; the horizon doubles from here
+MZV_TAIL = 2.0**-64  # series tail allowed in each Hölder factor
 
 _LD = np.longdouble
-_LD_EPS = float(np.finfo(_LD).eps)
+_LD_U = float(np.finfo(_LD).eps) / 2  # unit roundoff of long double, round to nearest
+_F64_U = 2.0**-53  # unit roundoff of float
 
 
 def summation_cap(max_n: int | None = None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get("ARBOZETA_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    """Largest polylog horizon allowed: ``max_n``, else ``ARBOZETA_MAX_N``."""
+    if max_n is None:
+        env = os.environ.get("ARBOZETA_MAX_N")
+        max_n = int(env) if env else DEFAULT_MAX_N
+    if max_n < 1:
+        raise DomainError(f"summation cap must be positive, got {max_n}")
+    return max_n
 
 
 @dataclass(frozen=True)
@@ -54,9 +69,6 @@ class MzvEval:
     abs_error: float
     index: Composition = ()
     flavor: str = "strict"
-
-    def agrees_with(self, other: float, slack: float = 0.0) -> bool:
-        return abs(self.value - other) <= self.abs_error + slack
 
 
 @dataclass(frozen=True)
@@ -100,80 +112,143 @@ def _validate_index(s: Composition, flavor: str):
         raise DivergentIndex(f"series diverges for first part {s[0]}")
 
 
-def _sum_noise(values, noise) -> float:
-    """Roundoff bound for values.sum(): pairwise summation plus input noise."""
-    n = len(values)
-    depth = max(1, int(math.ceil(math.log2(max(n, 2)))))
-    return float(noise.sum()) + depth * _LD_EPS * float(np.abs(values).sum())
+def _check_precision(precision: float):
+    if not (math.isfinite(precision) and precision > 0):
+        raise DomainError(f"precision must be finite and positive, got {precision}")
 
 
-def _nested_arrays(s: Composition, n_cap: int, star: bool):
-    """Level arrays over n <= n_cap; returns head, anchors and noise bounds.
+def _require(err: float, precision: float, what: str):
+    if err > precision:
+        raise PrecisionUnreachable(f"{what}: certified error {err:g} exceeds {precision:g}")
 
-    Anchors run innermost-first and hold the full partial sums that the tail
-    models of :mod:`arbozeta.tails` are pinned to.  A parallel float64
-    pipeline propagates per-entry roundoff bounds so the anchors and the head
-    carry certified noise estimates.
+
+def _gamma(m: int, u: float) -> float:
+    """Bound on the relative error of m successive roundings of unit roundoff u."""
+    return m * u / (1.0 - m * u)
+
+
+# -- the power-series kernel --------------------------------------------------------
+
+def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
+    """Bound on sum_{m > n} z^m m^-first A(m), A the strict nested sum over ``inner``.
+
+    A(m) is at most the product over inner parts p of zeta(p) <= p/(p-1) for
+    p >= 2 and of H_(m-1) <= 1 + ln m for p = 1.  From m = n+1 on the terms of
+    that majorant shrink at least by ``ratio``, so a geometric series bounds
+    the tail.
     """
-    k = len(s)
-    ns = np.arange(1, n_cap + 1, dtype=_LD)
-    current = ns ** (-s[k - 1])
-    noise = 3.0 * _LD_EPS * np.abs(current).astype(np.float64)
-    anchors: list[float] = []
-    noises: list[float] = []
-    for j in range(k - 1, 0, -1):
-        anchors.append(float(current.sum()))
-        noises.append(_sum_noise(current, noise))
-        prefix = np.cumsum(current)
-        # Sequential cumsum: input noise accumulates and each add incurs
-        # eps times the running partial.
-        noise_prefix = np.cumsum(noise) + _LD_EPS * np.cumsum(
-            np.abs(prefix).astype(np.float64)
-        )
-        if not star:
-            prefix = np.concatenate((np.zeros(1, dtype=_LD), prefix[:-1]))
-            noise_prefix = np.concatenate(([0.0], noise_prefix[:-1]))
-        power = ns ** (-s[j - 1])
-        current = power * prefix
-        noise = power.astype(np.float64) * noise_prefix + 3.0 * _LD_EPS * np.abs(
-            current
-        ).astype(np.float64)
-    head = float(current.sum())
-    return head, anchors, noises, _sum_noise(current, noise)
+    ones = sum(1 for p in inner if p == 1)
+    log_end = 1.0 + math.log(n + 1)
+    ratio = z * math.exp(ones / ((n + 1) * log_end))
+    if ratio >= 1.0:
+        return math.inf
+    log_tail = (
+        (n + 1) * math.log(z)
+        - first * math.log(n + 1)
+        + ones * math.log(log_end)
+        + sum(math.log(p / (p - 1)) for p in inner if p > 1)
+        - math.log1p(-ratio)
+    )
+    return math.exp(log_tail)
 
 
-def _min_horizon(s: Composition) -> int:
-    ones = sum(1 for p in s[1:] if p == 1)
-    return max(MIN_N, int(math.exp(ones + 2.2)) + 1)
+def _suffix_polylogs(
+    s: Composition, z: float, tail: float, cap: int
+) -> list[tuple[float, float]]:
+    """(value, error bound) of Li_u(z) for every nonempty suffix u of binarise(s).
+
+    Entry p is the suffix that starts at letter p.  One innermost-first pass
+    builds the strict inner sums A_j(m); a suffix that starts inside the x-run
+    of part j differs from the one at the run's start only in its top
+    exponent, so it costs one dot product with A_j.  The composition
+    (1, s[1:]) has the largest tail of all suffixes, so it sets the horizon.
+    """
+    n = min(FIRST_N, cap)
+    while (tail_bound := _tail_bound(1, s[1:], z, n)) > tail:
+        if n >= cap:
+            raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
+        n = min(2 * n, cap)
+    inv = 1 / np.arange(1, n + 1, dtype=_LD)
+    powers = [None, inv]  # powers[r][m-1] = m^-r
+    for _ in range(1, max(s)):
+        powers.append(powers[-1] * inv)
+    zpow = np.cumprod(np.full(n, z, dtype=_LD))
+    # Every summand passes at most sum(s) roundings in its powers, n - 1 in
+    # z^m, n - 1 in each cumulative sum and in the final sum, and one per
+    # product: sum(s) + (len(s) + 1) * n in all; 4 more cover second-order terms.
+    rel = _gamma(sum(s) + (len(s) + 1) * n + 4, _LD_U) + _F64_U
+    values = [0.0] * sum(s)
+    inner = np.ones(n, dtype=_LD)
+    start = sum(s)
+    for j in range(len(s) - 1, -1, -1):
+        start -= s[j]
+        weighted = zpow * inner
+        for r in range(1, s[j] + 1):
+            values[start + s[j] - r] = float((powers[r] * weighted).sum())
+        if j:
+            inner = np.concatenate(([0], np.cumsum(powers[s[j]] * inner)[:-1]))
+    return [(v, tail_bound + rel * abs(v)) for v in values]
 
 
-def _eval_series(s: Composition, star: bool, precision: float, cap: int) -> MzvEval:
-    n = _min_horizon(s)
-    if n > cap:
-        raise PrecisionUnreachable(f"horizon {n} needed for {s} exceeds cap {cap}")
-    flavor = "star" if star else "strict"
-    while True:
-        head, anchors, noises, head_noise = _nested_arrays(s, n, star)
-        anchor_point = n if star else n + 1
-        tail_est, tail_bound = tails.nested_tail(
-            s,
-            anchors,
-            noises,
-            anchor_point=anchor_point,
-            tail_start=n + 1,
-            include_diagonal=star,
-        )
-        err = tail_bound + head_noise + 1e-15 * abs(head)
-        if err <= precision:
-            return MzvEval(head + tail_est, err, s, flavor)
-        if 2 * n > cap:
-            raise PrecisionUnreachable(
-                f"needed error {precision:g} for {flavor} {s}, reached {err:g} at N={n}"
-            )
-        n *= 2
+# -- multiple zeta values ---------------------------------------------------------------
+
+def _dual(s: Composition) -> Composition:
+    """The composition of tau(binarise(s)): the word reversed, x and y swapped."""
+    swap = {"x": "y", "y": "x"}
+    return debinarise(Word(tuple(swap[c] for c in reversed(binarise(s).letters)))).letters
+
+
+def _holder(s: Composition, cap: int) -> MzvEval:
+    """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor.
+
+    Suffixes of tau(w) are the tau-images of prefixes of w, so two kernel
+    passes give every factor.  Products propagate |a| db + |b| da + da db, and
+    the final float sum of n + 1 products adds gamma_(n+2).
+    """
+    n = sum(s)
+    after = _suffix_polylogs(s, 0.5, MZV_TAIL, cap) + [(1.0, 0.0)]
+    before = _suffix_polylogs(_dual(s), 0.5, MZV_TAIL, cap) + [(1.0, 0.0)]
+    total = size = err = 0.0
+    for k in range(n + 1):
+        (a, da), (b, db) = before[n - k], after[k]
+        total += a * b
+        size += abs(a * b)
+        err += abs(a) * db + abs(b) * da + da * db
+    return MzvEval(total, err + _gamma(n + 2, _F64_U) * size, s, "strict")
+
+
+def _combine(terms) -> tuple[float, float]:
+    """Float sum of coeff * ev.value over (coeff, ev) pairs, with its bound.
+
+    A summand passes at most len(terms) - 1 additions, plus the conversion of
+    its coefficient and the product when the coefficient is not +-1.
+    """
+    m = len(terms)
+    total = err = 0.0
+    for coeff, ev in terms:
+        c = float(coeff)
+        x = c * ev.value
+        total += x
+        err += abs(c) * ev.abs_error + _gamma(m - 1 if abs(coeff) == 1 else m + 1, _F64_U) * abs(x)
+    return total, err
 
 
 _MZV_CACHE: dict[tuple[str, Composition], MzvEval] = {}
+
+
+def _mzv(s: Composition, flavor: str, cap: int) -> MzvEval:
+    """zeta(s) or zeta*(s) at the kernel's floor, through the cache."""
+    key = (flavor, s)
+    ev = _MZV_CACHE.get(key)
+    if ev is None:
+        if flavor == "strict":
+            ev = _holder(s, cap)
+        else:
+            merges = star_to_strict(s).sorted_items()
+            total, err = _combine([(c, _mzv(t, "strict", cap)) for t, c in merges])
+            ev = MzvEval(total, err, s, "star")
+        _MZV_CACHE[key] = ev
+    return ev
 
 
 def eval_mzv(
@@ -185,15 +260,12 @@ def eval_mzv(
     """Multiple zeta value (strict nesting) or its star variant (non-strict)."""
     s = tuple(s)
     _validate_index(s, flavor)
+    _check_precision(precision)
     if not s:
         return MzvEval(1.0, 0.0, s, flavor)
-    key = (flavor, s)
-    cached = _MZV_CACHE.get(key)
-    if cached is not None and cached.abs_error <= precision:
-        return cached
-    result = _eval_series(s, flavor == "star", precision, summation_cap(max_n))
-    _MZV_CACHE[key] = result
-    return result
+    ev = _mzv(s, flavor, summation_cap(max_n))
+    _require(ev.abs_error, precision, f"{flavor} {s}")
+    return ev
 
 
 def clear_mzv_cache():
@@ -236,8 +308,8 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
             terms.pop(index, None)
     out_flavor = "star" if flavor == "star" else "strict"
     result = MzvCombination(terms, out_flavor)
-    if comb.all_integer():
-        assert result.all_integer(), "integer input must reduce to integer coefficients"
+    if comb.all_integer() and not result.all_integer():
+        raise ArithmeticError("integer input reduced to non-integer coefficients")
     return result
 
 
@@ -246,29 +318,15 @@ def eval_combination(
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
 ) -> MzvEval:
-    """Sum of coeff * zeta(index) with the error budget split across terms."""
-    if not comb.terms:
-        return MzvEval(0.0, 0.0, (), comb.flavor)
-    weight = sum(abs(c) for c in comb.terms.values())
-    per_term = precision / (2.0 * float(weight))
-    total = 0.0
-    err = 0.0
-    evaluations: dict[Composition, MzvEval] = {}
+    """Sum of coeff * zeta(index), each term at the kernel's floor."""
+    _check_precision(precision)
+    cap = summation_cap(max_n)
+    terms = []
     for index, coeff in comb.sorted_items():
-        ev = eval_mzv(index, comb.flavor, per_term, max_n)
-        evaluations[index] = ev
-        total += float(coeff) * ev.value
-        err += abs(float(coeff)) * ev.abs_error
-    if err > precision:
-        # Redistribute the budget toward the dominating terms and retry once.
-        for index, coeff in comb.sorted_items():
-            share = abs(float(coeff)) * evaluations[index].abs_error / err
-            target = precision * share / (2.0 * abs(float(coeff)))
-            evaluations[index] = eval_mzv(index, comb.flavor, target, max_n)
-        total = sum(float(c) * evaluations[i].value for i, c in comb.terms.items())
-        err = sum(abs(float(c)) * evaluations[i].abs_error for i, c in comb.terms.items())
-        if err > precision:
-            raise PrecisionUnreachable(f"combination error {err:g} exceeds {precision:g}")
+        _validate_index(index, comb.flavor)
+        terms.append((coeff, _mzv(index, comb.flavor, cap) if index else MzvEval(1.0, 0.0)))
+    total, err = _combine(terms)
+    _require(err, precision, "combination")
     return MzvEval(total, err, (), comb.flavor)
 
 
@@ -280,6 +338,34 @@ def azv(
 ) -> MzvEval:
     """Arborified zeta value: reduce, then evaluate."""
     return eval_combination(reduce_azv(forest_or_comb, flavor), precision, max_n)
+
+
+def _falling(p: int, j: int) -> int:
+    out = 1
+    for i in range(j):
+        out *= p - i
+    return out
+
+
+def _integral_tail(b: int, p: int, n: int) -> float:
+    """Integral from n to infinity of x^(-b) ln(x)^p dx, exact, for b > 1."""
+    ln = math.log(n)
+    return sum(
+        _falling(p, j) / (b - 1) ** (j + 1) * n ** (1 - b) * ln ** (p - j) for j in range(p + 1)
+    )
+
+
+def _em_tail_upper(b: int, p: int, n: int) -> float:
+    """Upper bound on sum_{m >= n} m^(-b) ln(m)^p, b > 1, by Euler-Maclaurin."""
+    ln = math.log(n)
+    est = _integral_tail(b, p, n) + 0.5 * n ** (-b) * ln**p
+    est -= n ** (-b - 1) * (p * ln ** (p - 1) - b * ln**p) / 12.0
+    err = (
+        b * (b + 1) * _integral_tail(b + 2, p, n)
+        + (p * (2 * b + 1) * _integral_tail(b + 2, p - 1, n) if p else 0.0)
+        + (p * (p - 1) * _integral_tail(b + 2, p - 2, n) if p >= 2 else 0.0)
+    ) / 12.0
+    return abs(est) + err
 
 
 def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> MzvEval:
@@ -309,7 +395,7 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
         p = vertices - 1
         total = 0.0
         for j in range(p + 1):
-            total += math.comb(p, j) * tails.em_tail_upper(exponent, j, start)
+            total += math.comb(p, j) * _em_tail_upper(exponent, j, start)
         return total
 
     values = []
@@ -350,31 +436,19 @@ def star_to_strict(s) -> MzvCombination:
 
 # -- polylogarithms ----------------------------------------------------------------
 
-def _polylog_series(s: Composition, z: float, precision: float, cap: int) -> PolylogEval:
-    k = len(s)
-    r_ones = sum(1 for p in s[1:] if p == 1)
-    n = 64
-    while True:
-        ns = np.arange(1, n + 1, dtype=_LD)
-        current = ns ** (-s[k - 1])
-        for j in range(k - 1, 0, -1):
-            prefix = np.cumsum(current)
-            prefix = np.concatenate((np.zeros(1, dtype=_LD), prefix[:-1]))
-            current = ns ** (-s[j - 1]) * prefix
-        zpow = np.power(_LD(z), ns)
-        head = float((zpow * current).sum())
-        # Geometric tail: the level product is majorized by 2 per part >= 2
-        # and (1 + ln n) per trailing part 1.
-        maj = 2.0 ** (k - 1 - r_ones) * (1.0 + math.log(n + 1)) ** r_ones
-        ratio = z * math.exp(r_ones / ((n + 1) * (1.0 + math.log(n + 1))))
-        if ratio < 1.0:
-            tail = z ** (n + 1) * (n + 1) ** float(-s[0]) * maj / (1.0 - ratio)
-            err = tail + n * _LD_EPS * abs(head) * 4.0 + 1e-16
-            if err <= precision:
-                return PolylogEval(head, err, z, s)
-        if 2 * n > cap:
-            raise PrecisionUnreachable(f"polylog {s} at z={z} stuck at N={n}")
-        n *= 2
+def _check_polylog_args(z: float, precision: float):
+    if not 0.0 <= z < 1.0:
+        raise DomainError(f"polylog series needs 0 <= z < 1, got {z}")
+    _check_precision(precision)
+
+
+def _polylog(s: Composition, z: float, tail: float, cap: int) -> PolylogEval:
+    if not s:
+        return PolylogEval(1.0, 0.0, z, s)
+    if z == 0.0:
+        return PolylogEval(0.0, 0.0, z, s)
+    value, err = _suffix_polylogs(s, z, tail, cap)[0]
+    return PolylogEval(value, err, z, s)
 
 
 def eval_polylog(
@@ -387,13 +461,10 @@ def eval_polylog(
     s = tuple(s)
     if any(not isinstance(p, int) or p < 1 for p in s):
         raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"polylog series needs 0 <= z < 1, got {z}")
-    if not s:
-        return PolylogEval(1.0, 0.0, z, s)
-    if z == 0.0:
-        return PolylogEval(0.0, 0.0, z, s)
-    return _polylog_series(s, z, precision, summation_cap(max_n))
+    _check_polylog_args(z, precision)
+    ev = _polylog(s, z, precision / 2, summation_cap(max_n))
+    _require(ev.abs_error, precision, f"polylog {s} at z={z}")
+    return ev
 
 
 def eval_arborified_polylog(
@@ -403,6 +474,7 @@ def eval_arborified_polylog(
     max_n: int | None = None,
 ) -> PolylogEval:
     """Arborified polylogarithm of a semiconvergent binary forest."""
+    _check_polylog_args(z, precision)
     comb = (
         LinComb.of(forest_or_comb) if isinstance(forest_or_comb, Forest) else forest_or_comb
     )
@@ -412,14 +484,14 @@ def eval_arborified_polylog(
     words = flatten(comb, 0)
     if words.is_zero():
         return PolylogEval(0.0, 0.0, z, ())
-    budget = sum(abs(c) for c in (coeff for _, coeff in words.items()))
-    per_term = precision / (2.0 * float(budget))
-    total = 0.0
-    err = 0.0
+    cap = summation_cap(max_n)
+    # The tails of all terms together take at most half the budget.
+    tail = precision / (2.0 * float(sum(abs(c) for _, c in words.items())))
+    terms = []
     for w, coeff in words.sorted_items():
         if not is_semiconvergent_word(w):
             raise NotSemiconvergent(f"flattening produced non-semiconvergent {w!r}")
-        ev = eval_polylog(debinarise(w).letters, z, per_term, max_n)
-        total += float(coeff) * ev.value
-        err += abs(float(coeff)) * ev.abs_error
+        terms.append((coeff, _polylog(debinarise(w).letters, z, tail, cap)))
+    total, err = _combine(terms)
+    _require(err, precision, f"arborified polylog at z={z}")
     return PolylogEval(total, err, z, ())

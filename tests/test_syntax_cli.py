@@ -205,11 +205,22 @@ class TestCli:
         second = run_cli("shuffle-trees", "2 2", "2", "--lambda", "1")
         assert first == second
 
+    @pytest.mark.parametrize("precision", ["nan", "inf", "0", "-1"])
+    def test_bad_precision_is_domain_error(self, precision):
+        code, _, err = run_cli("eval", "2[1]", "--precision", precision)
+        assert code == 3
+        assert "precision" in err
+
+    def test_polylog_below_floor_is_domain_error(self):
+        code, _, err = run_cli("polylog", "(3)", "--z", "0.5", "--precision", "1e-17")
+        assert code == 3
+        assert "error" in err
+
     def test_env_cap_override(self, monkeypatch):
         from arbozeta.zeta import clear_mzv_cache
 
         clear_mzv_cache()
-        monkeypatch.setenv("ARBOZETA_MAX_N", "4000")
+        monkeypatch.setenv("ARBOZETA_MAX_N", "8")
         code, _, err = run_cli("eval", "--flavor", "stuffle", "2[1,1]")
         assert code == 3
         assert "error" in err

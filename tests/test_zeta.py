@@ -4,16 +4,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from arbozeta.catalog import forests_up_to
-from arbozeta.errors import DivergentIndex, NonConvergent, PrecisionUnreachable
+from arbozeta.catalog import compositions_of, forests_up_to
+from arbozeta.errors import DivergentIndex, DomainError, NonConvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class, ConvergenceClass
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, ladder, leaf, tree_forest
 from arbozeta.zeta import (
     MzvCombination,
+    azv,
     brute_force_azv,
+    eval_arborified_polylog,
     eval_combination,
     eval_mzv,
+    eval_polylog,
     reduce_azv,
     star_to_strict,
 )
@@ -93,13 +96,74 @@ class TestEvalMzv:
 
         clear_mzv_cache()
         with pytest.raises(PrecisionUnreachable):
-            eval_mzv((2, 1, 1), "strict", 1e-9, max_n=4000)
+            eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
 
     def test_cache_returns_finer(self):
         fine = eval_mzv((3, 2), "strict", 1e-12)
         coarse = eval_mzv((3, 2), "strict", 1e-6)
         assert coarse.abs_error <= 1e-12
         assert coarse.value == fine.value
+
+
+class TestIndependentOracles:
+    """Identities that the Hölder convolution does not build in."""
+
+    @pytest.mark.parametrize("weight", range(2, 11))
+    def test_sum_theorem(self, weight):
+        # the zeta(s) over admissible s of one weight and depth sum to zeta(weight)
+        whole = eval_mzv((weight,), "strict", 1e-12)
+        for depth in range(1, weight):
+            evs = [
+                eval_mzv(s, "strict", 1e-12)
+                for s in compositions_of(weight, first_min=2)
+                if len(s) == depth
+            ]
+            total = math.fsum(ev.value for ev in evs)
+            bound = sum(ev.abs_error for ev in evs) + whole.abs_error + math.ulp(total)
+            assert abs(total - whole.value) <= bound, (weight, depth)
+
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_two_then_ones(self, k):
+        ev = eval_mzv((2,) + (1,) * k, "strict", 1e-12)
+        assert abs(mp.mpf(ev.value) - mp.zeta(k + 2)) <= ev.abs_error <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_three_one_strings(self, k):
+        ev = eval_mzv((3, 1) * k, "strict", 1e-12)
+        want = 2 * mp.pi ** (4 * k) / mp.factorial(4 * k + 2)
+        assert abs(mp.mpf(ev.value) - want) <= ev.abs_error
+
+    def test_corolla_with_seven_leaves(self):
+        ev = azv(tree_forest(Tree(2, (leaf(1),) * 7)), "stuffle", 1e-8)
+        assert ev.abs_error <= 1e-8
+
+
+class TestPrecisionArgument:
+    BAD = [float("nan"), float("inf"), 0.0, -1.0]
+
+    @pytest.mark.parametrize("precision", BAD)
+    def test_rejected_by_every_evaluator(self, precision):
+        with pytest.raises(DomainError):
+            eval_mzv((2,), "strict", precision)
+        with pytest.raises(DomainError):
+            eval_combination(MzvCombination({(2,): 1}), precision)
+        with pytest.raises(DomainError):
+            eval_polylog((2,), 0.5, precision)
+        with pytest.raises(DomainError):
+            eval_arborified_polylog(tree_forest(leaf("y")), 0.5, precision)
+
+    @pytest.mark.parametrize("cap", [8, 16])
+    def test_polylog_honours_cap(self, cap):
+        with pytest.raises(PrecisionUnreachable):
+            eval_polylog((3,), 0.5, 1e-10, max_n=cap)
+
+    def test_polylog_below_floor_fails(self):
+        with pytest.raises(PrecisionUnreachable):
+            eval_polylog((3,), 0.5, 1e-17)
+
+    def test_nonpositive_cap_rejected(self):
+        with pytest.raises(DomainError):
+            eval_polylog((3,), 0.5, 1e-10, max_n=0)
 
 
 class TestStarToStrict:
