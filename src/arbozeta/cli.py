@@ -29,6 +29,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 
+MAX_N_HELP = "cap on the polylog horizon, the power-series terms per polylogarithm (default: ARBOZETA_MAX_N or 10^7)"
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -112,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--flavor", choices=("stuffle", "star", "shuffle"), default="stuffle")
     p.add_argument("--precision", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help=MAX_N_HELP)
 
     p = add("polylog", help="multiple polylogarithm of a composition or xy-forest")
     p.add_argument("expr")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--precision", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, help=MAX_N_HELP)
 
     p = add("associator", help="associator of three forests for the tree shuffle")
     p.add_argument("first")
