@@ -25,7 +25,7 @@ from .catalog import (
     random_convergent_forest,
     trees_with_vertices,
 )
-from .errors import NotInImage
+from .errors import DomainError, NotInImage
 from .forest_algebra import (
     ConvergenceClass,
     associator,
@@ -1207,6 +1207,8 @@ SUITES = {
 
 
 def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
+    if bound < 1:
+        raise DomainError(f"weight bound must be at least 1, got {bound}")
     if name == "all":
         results = []
         for suite_name in SUITES:

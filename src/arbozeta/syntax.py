@@ -11,6 +11,9 @@ Grammar::
     rational   := int [ '/' int ]
 
 ``2[1,3[2]]`` is the tree with root 2 over a leaf 1 and a chain 3-2.
+Brackets may nest at most ``MAX_NESTING`` deep; deeper input is a
+``ParseError``, raised before any recursion in the parser or in the
+algorithms that walk a tree can run out of stack.
 """
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ from .lincomb import Coeff, LinComb
 from .trees import Forest, Tree
 from .words import Word
 from .zeta import MzvCombination, MzvEval
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<str>\"[xy]*\")|(?P<sym>[\[\](),+\-*/xy]))"
@@ -52,6 +57,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -95,8 +101,12 @@ class _Parser:
         children: tuple[Tree, ...] = ()
         if self.at_sym("["):
             self.next()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"trees nest deeper than {MAX_NESTING} levels")
             children = self.parse_inner_forest().trees
             self.expect("]")
+            self.depth -= 1
         return Tree(dec, children)
 
     def parse_inner_forest(self) -> Forest:

@@ -243,10 +243,3 @@ def ladder_decorations(forest: Forest) -> list[Decoration]:
             raise ValueError("tree has a branching vertex")
         node = node.children[0]
 
-
-def relabel(tree_or_forest, mapping) -> "Tree | Forest":
-    """Decoration-wise relabeling preserving shape (the lifted map on trees)."""
-    if isinstance(tree_or_forest, Tree):
-        t = tree_or_forest
-        return Tree(mapping(t.decoration), tuple(relabel(c, mapping) for c in t.children))
-    return Forest(tuple(relabel(t, mapping) for t in tree_or_forest.trees))

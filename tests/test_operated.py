@@ -1,4 +1,8 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
+
+import pytest
 
 from arbozeta.catalog import forests_up_to
 from arbozeta.forest_algebra import flatten_forest
@@ -173,3 +177,72 @@ class TestTreeShuffleMorphism:
             for a in pool:
                 for b in pool:
                     assert verify_tree_shuffle_morphism(model, a, b)
+
+
+def small_words():
+    """Every word of length <= 3 over {1, 2, 3}."""
+    return [letters for k in range(4) for letters in product((1, 2, 3), repeat=k)]
+
+
+def nested_sum(letters, horizon, strict):
+    """sum over N > m_1 > ... > m_k >= 1 (or N >= m_1 >= ... >= m_k >= 1) of prod m_i^-n_i."""
+    out = []
+    for n in range(1, horizon + 1):
+        if strict:
+            chains = combinations(range(1, n), len(letters))
+        else:
+            chains = combinations_with_replacement(range(1, n + 1), len(letters))
+        total = Fraction(0)
+        for chain in chains:
+            term = Fraction(1)
+            for m, e in zip(reversed(chain), letters):
+                term /= m**e
+            total += term
+        out.append(total)
+    return tuple(out)
+
+
+class TestCarriersAgainstRationals:
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_cumulative_sums_are_nested_sums(self, strict):
+        model = strict_sum_model(12) if strict else nonstrict_sum_model(12)
+        for letters in small_words():
+            expected = nested_sum(letters, 12, strict)
+            assert model.branch_word(word(letters)).values == expected, letters
+
+    def test_integration_is_iterated_integral(self):
+        # x^{S_1} / (S_1 S_2 ... S_k) with S_j = sum_{i >= j} (n_i + 1)
+        model = integration_model()
+        for letters in small_words():
+            tails = [sum(n + 1 for n in letters[j:]) for j in range(len(letters))]
+            degree = tails[0] if tails else 0
+            expected = (0,) * degree + (Fraction(1, prod(tails)),)
+            assert model.branch_word(word(letters)).coeffs == expected, letters
+
+    @pytest.mark.parametrize("model", [strict_sum_model(12), integration_model()], ids=lambda m: m.name)
+    def test_equality_ignores_representation(self, model):
+        u = model.branch_word(word([2, 1])) * Fraction(1, 2)
+        v = model.branch_word(word([2])) * Fraction(1, 6)
+        assert u.den != v.den
+        assert (u * Fraction(1, 3)) * 3 == u
+        assert hash((u * Fraction(1, 3)) * 3) == hash(u)
+        assert u * 0 == model.one * 0
+        assert hash(u * 0) == hash(model.one * 0)
+        total = u + v
+        longer, shorter = (u, v) if len(u.nums) >= len(v.nums) else (v, u)
+        padded = shorter.nums + (0,) * (len(longer.nums) - len(shorter.nums))
+        by_hand = type(u)._new(
+            tuple(a * shorter.den + b * longer.den for a, b in zip(longer.nums, padded)),
+            u.den * v.den,
+        )
+        assert by_hand.den != total.den
+        assert total == by_hand
+        assert hash(total) == hash(by_hand)
+        assert total != u
+
+    def test_values_and_coeffs_are_fractions(self):
+        assert TruncSeq.power(2, 3).values == (Fraction(1), Fraction(1, 4), Fraction(1, 9))
+        assert TruncSeq((Fraction(1, 2), 3)).values == (Fraction(1, 2), Fraction(3))
+        assert PolyQ.monomial(3, Fraction(2, 5)).coeffs == (0, 0, 0, Fraction(2, 5))
+        assert PolyQ((1, Fraction(1, 2), 0)).coeffs == (1, Fraction(1, 2))
+        assert PolyQ.monomial(2, 0).coeffs == ()

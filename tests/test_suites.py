@@ -1,5 +1,6 @@
 import pytest
 
+from arbozeta.errors import DomainError
 from arbozeta.suites import SUITES, run_suite
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
@@ -19,6 +20,14 @@ def test_suite_passes_at_reduced_bound(name):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("bound", [-5, 0])
+def test_bad_weight_bound_rejected(bound):
+    with pytest.raises(DomainError):
+        run_suite("mzv-oracles", bound)
+    with pytest.raises(DomainError):
+        run_suite("all", bound)
 
 
 def test_all_runs_every_suite():

@@ -41,6 +41,14 @@ class TestGrammar:
         with pytest.raises(ParseError):
             syntax.parse_lincomb('2[1] + "xy"')
 
+    def test_nesting_limit(self):
+        def nested(depth):
+            return "2[" * depth + "1" + "]" * depth
+
+        assert syntax.parse_forest(nested(syntax.MAX_NESTING)).vertex_count == syntax.MAX_NESTING + 1
+        with pytest.raises(ParseError, match="nest deeper"):
+            syntax.parse_forest(nested(syntax.MAX_NESTING + 1))
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             syntax.parse_forest("2[")
@@ -127,6 +135,18 @@ class TestCli:
         assert code == 2
         assert "parse error" in err
 
+    def test_deep_nesting_is_parse_error(self):
+        deep = "2[" * 3000 + "1" + "]" * 3000
+        proc = subprocess.run(
+            [sys.executable, "-m", "arbozeta.cli", "parse", deep],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "parse error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_domain_error_exit_code(self):
         code, _, err = run_cli("eval", "--flavor", "stuffle", "1[2]")
         assert code == 3
@@ -186,6 +206,13 @@ class TestCli:
                 "tolerance",
                 "pass",
             }
+
+    @pytest.mark.parametrize("bound", ["-5", "0"])
+    def test_bad_weight_bound_is_domain_error(self, bound):
+        code, out, err = run_cli("check", "--suite", "mzv-oracles", "--weight-bound", bound)
+        assert code == 3
+        assert "weight bound" in err
+        assert "checks passed" not in out
 
     def test_unknown_suite(self):
         code, _, err = run_cli("check", "--suite", "nope")
