@@ -53,11 +53,23 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _check_nesting(tokens: list[tuple[str, str]]) -> None:
+    depth = 0
+    for kind, value in tokens:
+        if kind == "sym" and value == "[":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"trees nest deeper than {MAX_NESTING} levels")
+        elif kind == "sym" and value == "]":
+            depth -= 1
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0
+        if text.count("[") > MAX_NESTING:
+            _check_nesting(self.tokens)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -101,12 +113,8 @@ class _Parser:
         children: tuple[Tree, ...] = ()
         if self.at_sym("["):
             self.next()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"trees nest deeper than {MAX_NESTING} levels")
             children = self.parse_inner_forest().trees
             self.expect("]")
-            self.depth -= 1
         return Tree(dec, children)
 
     def parse_inner_forest(self) -> Forest:

@@ -48,6 +48,8 @@ class TestGrammar:
         assert syntax.parse_forest(nested(syntax.MAX_NESTING)).vertex_count == syntax.MAX_NESTING + 1
         with pytest.raises(ParseError, match="nest deeper"):
             syntax.parse_forest(nested(syntax.MAX_NESTING + 1))
+        side_by_side = " ".join([nested(2)] * syntax.MAX_NESTING)
+        assert len(syntax.parse_forest(side_by_side).trees) == syntax.MAX_NESTING
 
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
