@@ -5,7 +5,7 @@ import random
 from functools import cache
 from itertools import product as cartesian
 
-from .trees import Decoration, Forest, Tree, b_plus, tree_forest
+from .trees import Decoration, Forest, Tree, b_plus
 from .words import Word
 
 

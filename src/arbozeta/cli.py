@@ -14,13 +14,12 @@ from fractions import Fraction
 from . import suites, syntax
 from .errors import ArbozetaError, ParseError
 from .forest_algebra import associator, binarise_comb, flatten, shuffle_forests
-from .lincomb import LinComb
+from .lincomb import LinComb, _as_comb
 from .trees import Forest
 from .words import Word, binarise, shuffle_words
 from .zeta import (
     eval_arborified_polylog,
     eval_combination,
-    eval_mzv,
     eval_polylog,
     reduce_azv,
 )
@@ -141,10 +140,7 @@ def run(argv=None) -> int:
     as_json = args.json
 
     if args.verb == "parse":
-        expr = syntax.parse_expression(args.expr)
-        if isinstance(expr, (Forest, Word)):
-            expr = LinComb.of(expr)
-        _emit_lincomb(expr, as_json)
+        _emit_lincomb(_as_comb(syntax.parse_expression(args.expr)), as_json)
         return 0
 
     if args.verb == "shuffle-words":

@@ -8,6 +8,12 @@
 * ``binarise_forest`` / ``debinarise_forest``: the branched binarisation
   sending a vertex decorated n to a chain of n-1 x-vertices over a y-vertex.
 * convergence classification for both decoration alphabets.
+
+Validation happens where values enter: the public ``Tree``/``Forest``
+constructors and the entry points ``flatten_forest`` and
+``shuffle_forests_basis``, which check the alphabets and the semigroup
+condition.  The recursions accumulate their terms in plain dicts and build
+them through the private unchecked constructors, never re-validating a term.
 """
 from __future__ import annotations
 
@@ -15,31 +21,12 @@ import enum
 from fractions import Fraction
 
 from .errors import NotInImage, SemigroupRequired
-from .lincomb import Coeff, LinComb
-from .trees import (
-    EMPTY_FOREST,
-    Alphabet,
-    Forest,
-    Tree,
-    b_plus,
-    concat_forests,
-    decoration_product,
-    merge_alphabets,
-    tree_forest,
-)
-from .words import Word, shuffle_words, shuffle_words_basis
+from .lincomb import Coeff, LinComb, _as_comb
+from .trees import Alphabet, Forest, Tree, b_plus, concat_forests, merge_alphabets, tree_forest
+from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec
 
 ForestComb = LinComb[Forest]
 WordComb = LinComb[Word]
-
-
-def _require_semigroup(lam: Coeff, *alphabets: Alphabet | None):
-    if lam:
-        for alph in alphabets:
-            if alph is not None and alph is not Alphabet.POSINT:
-                raise SemigroupRequired(
-                    "contracting product (lambda != 0) needs positive-integer decorations"
-                )
 
 
 # -- flattening ---------------------------------------------------------------
@@ -49,38 +36,40 @@ _FLATTEN_CACHE: dict = {}
 
 def flatten_forest(forest: Forest, lam: Coeff) -> WordComb:
     """Flattening of weight lambda of a basis forest."""
-    _require_semigroup(lam, forest.alphabet)
-    if isinstance(lam, Fraction) and lam.denominator == 1:
-        lam = int(lam)
-    return _flatten_rec(forest, lam)
+    return _flatten_rec(forest, _require_semigroup(lam, forest.alphabet))
 
 
 def _flatten_rec(forest: Forest, lam: Coeff) -> WordComb:
     if not forest:
-        return LinComb.of(Word())
+        return LinComb._unchecked({EMPTY_WORD: 1})
     key = (forest, lam)
     cached = _FLATTEN_CACHE.get(key)
     if cached is not None:
         return cached
-    if forest.is_tree():
-        tree = forest.trees[0]
-        inner = _flatten_rec(Forest(tree.children), lam)
-        out = inner.map_basis(lambda w: Word((tree.decoration,) + w.letters))
+    trees = forest.trees
+    if len(trees) == 1:
+        head = (trees[0].decoration,)
+        inner = _flatten_rec(Forest._unchecked(trees[0].children), lam)
+        sums = {Word._unchecked(head + w.letters): c for w, c in inner.items()}
     else:
-        trees = forest.trees
-        out = _flatten_rec(tree_forest(trees[0]), lam)
+        sums = dict(_flatten_rec(Forest._unchecked(trees[:1]), lam).items())
         for tree in trees[1:]:
-            out = shuffle_words(out, _flatten_rec(tree_forest(tree), lam), lam)
+            right = _flatten_rec(Forest._unchecked((tree,)), lam)
+            product: dict = {}
+            for w1, c1 in sums.items():
+                for w2, c2 in right.items():
+                    for w, c in _shuffle_rec(w1.letters, w2.letters, lam).items():
+                        product[w] = product.get(w, 0) + c1 * c2 * c
+            sums = product
+    out = LinComb._unchecked(sums)
     _FLATTEN_CACHE[key] = out
     return out
 
 
 def flatten(comb: ForestComb | Forest, lam: Coeff) -> WordComb:
     """Linear extension of the flattening map."""
-    if isinstance(comb, Forest):
-        comb = LinComb.of(comb)
     out: WordComb = LinComb.zero()
-    for forest, coeff in comb.items():
+    for forest, coeff in _as_comb(comb).items():
         out = out + flatten_forest(forest, lam).scale(coeff)
     return out
 
@@ -93,70 +82,74 @@ _TREE_SHUFFLE_CACHE: dict = {}
 def shuffle_forests_basis(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
     """Lambda-shuffle of two basis forests."""
     merge_alphabets(a.alphabet, b.alphabet)
-    _require_semigroup(lam, a.alphabet, b.alphabet)
-    if isinstance(lam, Fraction) and lam.denominator == 1:
-        lam = int(lam)
-    return _tree_shuffle_rec(a, b, lam)
+    return _tree_shuffle_rec(a, b, _require_semigroup(lam, a.alphabet, b.alphabet))
 
 
-def _graft(dec, comb: ForestComb) -> ForestComb:
-    return comb.map_basis(lambda f: tree_forest(b_plus(dec, f)))
+def _graft_into(sums: dict, dec, comb: ForestComb, coeff: Coeff):
+    for f, c in comb.items():
+        key = Forest._unchecked((Tree._unchecked(dec, f.trees),))
+        sums[key] = sums.get(key, 0) + c * coeff
 
 
-def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
-    if not a:
-        return LinComb.of(b)
-    if not b:
-        return LinComb.of(a)
-    key = (a, b, lam)
+def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff, redistribute: bool = True) -> ForestComb:
+    """The tree lambda-shuffle on validated forests, memoized.
+
+    ``redistribute=False`` drops the 1/(k*n) factor of the rule for proper
+    forests: the unnormalized companion product that one suite compares with
+    the published associator.
+    """
+    if not a or not b:
+        return LinComb._unchecked({a or b: 1})
+    key = (a, b, lam) if redistribute else (a, b, lam, False)
     cached = _TREE_SHUFFLE_CACHE.get(key)
     if cached is not None:
         return cached
+    sums: dict = {}
     if a.is_tree() and b.is_tree():
         ta, tb = a.trees[0], b.trees[0]
-        fa, fb = Forest(ta.children), Forest(tb.children)
-        out = _graft(ta.decoration, _tree_shuffle_rec(fa, b, lam)) + _graft(
-            tb.decoration, _tree_shuffle_rec(a, fb, lam)
-        )
+        fa, fb = Forest._unchecked(ta.children), Forest._unchecked(tb.children)
+        _graft_into(sums, ta.decoration, _tree_shuffle_rec(fa, b, lam, redistribute), 1)
+        _graft_into(sums, tb.decoration, _tree_shuffle_rec(a, fb, lam, redistribute), 1)
         if lam:
-            contracted = decoration_product(ta.decoration, tb.decoration)
-            out = out + _graft(contracted, _tree_shuffle_rec(fa, fb, lam)).scale(lam)
+            # The semigroup product of positive-integer decorations is their sum.
+            contracted = ta.decoration + tb.decoration
+            _graft_into(sums, contracted, _tree_shuffle_rec(fa, fb, lam, redistribute), lam)
     else:
         k, n = len(a.trees), len(b.trees)
-        out = LinComb.zero()
         for i in range(k):
-            rest_a = a.without(i)
+            rest_a = a.trees[:i] + a.trees[i + 1 :]
             for j in range(n):
-                rest = concat_forests(rest_a, b.without(j))
-                pair = _tree_shuffle_rec(tree_forest(a.trees[i]), tree_forest(b.trees[j]), lam)
-                out = out + pair.map_basis(lambda f, rest=rest: concat_forests(f, rest))
-        out = out.scale(Fraction(1, k * n))
+                rest = rest_a + b.trees[:j] + b.trees[j + 1 :]
+                pair = _tree_shuffle_rec(
+                    Forest._unchecked(a.trees[i : i + 1]),
+                    Forest._unchecked(b.trees[j : j + 1]),
+                    lam,
+                    redistribute,
+                )
+                for f, c in pair.items():
+                    key_f = Forest._unchecked(f.trees + rest)
+                    sums[key_f] = sums.get(key_f, 0) + c
+        if redistribute:
+            sums = {f: Fraction(c, k * n) for f, c in sums.items()}
+    out = LinComb._unchecked(sums)
     _TREE_SHUFFLE_CACHE[key] = out
     return out
 
 
 def shuffle_forests(a: ForestComb | Forest, b: ForestComb | Forest, lam: Coeff) -> ForestComb:
     """Bilinear lambda-shuffle on linear combinations of forests."""
-    if isinstance(a, Forest):
-        a = LinComb.of(a)
-    if isinstance(b, Forest):
-        b = LinComb.of(b)
-    return a.bilinear(b, lambda f1, f2: shuffle_forests_basis(f1, f2, lam))
+    return _as_comb(a).bilinear(_as_comb(b), lambda f1, f2: shuffle_forests_basis(f1, f2, lam))
 
 
 def concat_comb(a: ForestComb | Forest, b: ForestComb | Forest) -> ForestComb:
     """Bilinear extension of forest concatenation."""
-    if isinstance(a, Forest):
-        a = LinComb.of(a)
-    if isinstance(b, Forest):
-        b = LinComb.of(b)
-    return a.bilinear(b, concat_forests)
+    return _as_comb(a).bilinear(_as_comb(b), concat_forests)
 
 
 def associator(f1: Forest, f2: Forest, f3: Forest, lam: Coeff) -> ForestComb:
     """(f1 sh f2) sh f3 - f1 sh (f2 sh f3) for the lambda-shuffle on trees."""
-    left = shuffle_forests(shuffle_forests_basis(f1, f2, lam), LinComb.of(f3), lam)
-    right = shuffle_forests(LinComb.of(f1), shuffle_forests_basis(f2, f3, lam), lam)
+    left = shuffle_forests(shuffle_forests_basis(f1, f2, lam), f3, lam)
+    right = shuffle_forests(f1, shuffle_forests_basis(f2, f3, lam), lam)
     return left - right
 
 
@@ -183,9 +176,7 @@ def binarise_forest(forest: Forest) -> Forest:
 
 
 def binarise_comb(comb: ForestComb | Forest) -> ForestComb:
-    if isinstance(comb, Forest):
-        comb = LinComb.of(comb)
-    return comb.map_basis(binarise_forest)
+    return _as_comb(comb).map_basis(binarise_forest)
 
 
 def debinarise_tree(tree: Tree) -> Tree:
@@ -207,9 +198,7 @@ def debinarise_forest(forest: Forest) -> Forest:
 
 
 def debinarise_comb(comb: ForestComb | Forest) -> ForestComb:
-    if isinstance(comb, Forest):
-        comb = LinComb.of(comb)
-    return comb.map_basis(debinarise_forest)
+    return _as_comb(comb).map_basis(debinarise_forest)
 
 
 # -- convergence ---------------------------------------------------------------

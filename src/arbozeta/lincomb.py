@@ -5,6 +5,11 @@ Basis elements are any hashable values carrying a ``sort_key`` attribute
 ``fractions.Fraction``; integer values stay plain ints so the common
 integer-coefficient paths avoid Fraction overhead.  Zero coefficients are
 never stored.
+
+The public constructor merges repeated basis elements and drops zeros.  Sums,
+scalings and the linear and bilinear extensions build their results through
+the private :meth:`LinComb._unchecked`, which trusts that the basis values were
+validated where they entered: never per intermediate term.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ Coeff = int | Fraction
 
 
 def _norm(q: Coeff) -> Coeff:
-    if isinstance(q, Fraction) and q.denominator == 1:
+    """``q`` with an integral Fraction turned into an int."""
+    if type(q) is Fraction and q.denominator == 1:
         return int(q)
     return q
 
@@ -44,6 +50,23 @@ class LinComb(Generic[B]):
         return cls({basis: coeff} if coeff else {})
 
     @classmethod
+    def _unchecked(cls, sums: dict, basis: Callable | None = None) -> "LinComb[B]":
+        """Combination over a dict of summed coefficients, without re-validation.
+
+        Precondition: the keys are distinct basis values built from values
+        that were already validated (or, with ``basis``, distinct raw parts
+        that ``basis`` turns into such values), and the sums are ints or
+        Fractions.  Zero sums are dropped and integral Fractions become ints,
+        so the result is canonical however it was accumulated.
+        """
+        out = cls.__new__(cls)
+        if basis is None:
+            out._terms = {b: _norm(c) for b, c in sums.items() if c}
+        else:
+            out._terms = {basis(b): _norm(c) for b, c in sums.items() if c}
+        return out
+
+    @classmethod
     def zero(cls) -> "LinComb[B]":
         return cls()
 
@@ -55,9 +78,6 @@ class LinComb(Generic[B]):
 
     def coefficient(self, basis: B) -> Coeff:
         return self._terms.get(basis, 0)
-
-    def support(self) -> set[B]:
-        return set(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -79,16 +99,10 @@ class LinComb(Generic[B]):
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
+        sums = dict(self._terms)
         for basis, coeff in other._terms.items():
-            acc = data.get(basis, 0) + coeff
-            if acc:
-                data[basis] = _norm(acc)
-            else:
-                data.pop(basis, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+            sums[basis] = sums.get(basis, 0) + coeff
+        return LinComb._unchecked(sums)
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
         return self + other.scale(-1)
@@ -97,15 +111,15 @@ class LinComb(Generic[B]):
         return self.scale(-1)
 
     def scale(self, q: Coeff) -> "LinComb[B]":
-        if not q:
-            return LinComb()
-        out = LinComb.__new__(LinComb)
-        out._terms = {b: _norm(c * q) for b, c in self._terms.items()}
-        return out
+        return LinComb._unchecked({b: c * q for b, c in self._terms.items()})
 
     def map_basis(self, fn: Callable[[B], Hashable]) -> "LinComb":
         """Linear extension of a basis map (values may collide and recombine)."""
-        return LinComb((fn(b), c) for b, c in self._terms.items())
+        sums: dict = {}
+        for b, c in self._terms.items():
+            image = fn(b)
+            sums[image] = sums.get(image, 0) + c
+        return LinComb._unchecked(sums)
 
     def bilinear(
         self,
@@ -116,17 +130,17 @@ class LinComb(Generic[B]):
 
         ``product`` may return either a basis element or a LinComb.
         """
-        pairs: list[tuple[Hashable, Coeff]] = []
+        sums: dict = {}
         for b1, c1 in self._terms.items():
             for b2, c2 in other._terms.items():
                 res = product(b1, b2)
                 c = c1 * c2
                 if isinstance(res, LinComb):
                     for b, q in res._terms.items():
-                        pairs.append((b, c * q))
+                        sums[b] = sums.get(b, 0) + c * q
                 else:
-                    pairs.append((res, c))
-        return LinComb(pairs)
+                    sums[res] = sums.get(res, 0) + c
+        return LinComb._unchecked(sums)
 
     def coefficient_sum(self) -> Coeff:
         return _norm(sum(self._terms.values(), start=Fraction(0)))
@@ -139,3 +153,8 @@ class LinComb(Generic[B]):
             return "LinComb(0)"
         inner = " + ".join(f"{c}*{b!r}" for b, c in self._terms.items())
         return f"LinComb({inner})"
+
+
+def _as_comb(value) -> LinComb:
+    """A combination as it is; a bare basis value (forest, word) as ``1 * value``."""
+    return value if isinstance(value, LinComb) else LinComb.of(value)

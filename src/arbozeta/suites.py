@@ -22,8 +22,10 @@ from .catalog import (
     forests_up_to,
     forests_up_to_weight,
     linear_extension_count,
+    random_composition,
     random_convergent_forest,
     trees_with_vertices,
+    words_with_length,
 )
 from .errors import DomainError, NotInImage
 from .forest_algebra import (
@@ -31,7 +33,6 @@ from .forest_algebra import (
     associator,
     binarise_comb,
     binarise_forest,
-    binarise_tree,
     concat_comb,
     convergence_class,
     debinarise_forest,
@@ -39,6 +40,7 @@ from .forest_algebra import (
     flatten_forest,
     shuffle_forests,
     shuffle_forests_basis,
+    _tree_shuffle_rec,
 )
 from .lincomb import LinComb
 from .operated import (
@@ -60,7 +62,6 @@ from .words import (
     is_semiconvergent_word,
     shuffle_words,
     shuffle_words_basis,
-    word,
 )
 from .zeta import (
     MzvCombination,
@@ -71,6 +72,7 @@ from .zeta import (
     eval_polylog,
     reduce_azv,
     star_to_strict,
+    words_to_combination,
 )
 
 RNG_SEED = 0x5EED
@@ -101,21 +103,6 @@ def _numeric(suite, instance, lhs, rhs, tolerance):
     return _entry(suite, instance, lhs, rhs, abs(lhs - rhs), tolerance)
 
 
-def words_to_combination(comb: LinComb[Word], flavor: str) -> MzvCombination:
-    """Zeta combination of a word combination (debinarising binary words)."""
-    terms = {}
-    for w, coeff in comb.items():
-        if w and w.alphabet is Alphabet.XY:
-            w = debinarise(w)
-        index = w.letters
-        acc = terms.get(index, 0) + coeff
-        if acc:
-            terms[index] = acc
-        else:
-            terms.pop(index, None)
-    return MzvCombination(terms, flavor)
-
-
 def eval_words(comb: LinComb[Word], flavor: str, precision: float):
     return eval_combination(words_to_combination(comb, flavor), precision)
 
@@ -127,7 +114,7 @@ def suite_word_shuffle(bound: int, precision: float) -> list[dict]:
     del precision
     out = []
     max_len = max(2, bound - 1)
-    words_12 = [w for n in range(max_len + 1) for w in _all_words((1, 2), n)]
+    words_12 = [w for n in range(max_len + 1) for w in words_with_length(n, (1, 2))]
     for lam in LAMBDAS:
         checked = fails = 0
         witness = ""
@@ -201,44 +188,14 @@ def suite_word_shuffle(bound: int, precision: float) -> list[dict]:
     return out
 
 
-def _all_words(letters, length):
-    from .catalog import words_with_length
-
-    return list(words_with_length(length, letters))
-
-
-def _unnormalized_shuffle(a: Forest, b: Forest) -> LinComb:
-    """Companion tree shuffle without the 1/(k*n) redistribution factor, lambda=0."""
-    if not a:
-        return LinComb.of(b)
-    if not b:
-        return LinComb.of(a)
-    if a.is_tree() and b.is_tree():
-        ta, tb = a.trees[0], b.trees[0]
-        fa, fb = Forest(ta.children), Forest(tb.children)
-        left = _unnormalized_shuffle(fa, b).map_basis(
-            lambda f: tree_forest(b_plus(ta.decoration, f))
-        )
-        right = _unnormalized_shuffle(a, fb).map_basis(
-            lambda f: tree_forest(b_plus(tb.decoration, f))
-        )
-        return left + right
-    out = LinComb.zero()
-    for i in range(len(a.trees)):
-        for j in range(len(b.trees)):
-            rest = concat_forests(a.without(i), b.without(j))
-            pair = _unnormalized_shuffle(tree_forest(a.trees[i]), tree_forest(b.trees[j]))
-            out = out + pair.map_basis(lambda f, rest=rest: concat_forests(f, rest))
-    return out
-
-
 def _unnormalized_associator(f1: Forest, f2: Forest, f3: Forest) -> LinComb:
-    left = LinComb.zero()
-    for basis, coeff in _unnormalized_shuffle(f1, f2).items():
-        left = left + _unnormalized_shuffle(basis, f3).scale(coeff)
-    right = LinComb.zero()
-    for basis, coeff in _unnormalized_shuffle(f2, f3).items():
-        right = right + _unnormalized_shuffle(f1, basis).scale(coeff)
+    """Associator of the companion tree shuffle without the 1/(k*n) factor, lambda=0."""
+
+    def product(a: Forest, b: Forest) -> LinComb:
+        return _tree_shuffle_rec(a, b, 0, redistribute=False)
+
+    left = product(f1, f2).bilinear(LinComb.of(f3), product)
+    right = LinComb.of(f1).bilinear(product(f2, f3), product)
     return left - right
 
 
@@ -482,7 +439,7 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
 
     checked = fails = 0
     witness = ""
-    for forest in _posint_forests_by_weight(max_weight):
+    for forest in forests_up_to_weight(max_weight):
         checked += 1
         image = binarise_forest(forest)
         ok = (
@@ -528,11 +485,6 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
                 witness = witness or str(comp)
     out.append(_exact_family("binarisation", "flatten(0) of binarised ladders = binarised words", checked, fails, witness))
     return out
-
-
-def _posint_forests_by_weight(max_weight: int):
-    """All positive-integer forests of additive weight <= max_weight."""
-    return list(forests_up_to_weight(max_weight))
 
 
 def suite_rota_baxter(bound: int, precision: float) -> list[dict]:
@@ -650,17 +602,6 @@ def suite_reduction_vs_series(bound: int, precision: float) -> list[dict]:
     return out
 
 
-def _random_convergent_word(rng: random.Random, max_weight: int) -> Word:
-    weight = rng.randint(2, max_weight)
-    parts = [rng.randint(2, max(2, weight - 1)) if weight > 2 else 2]
-    rest = weight - parts[0]
-    while rest:
-        p = rng.randint(1, rest)
-        parts.append(p)
-        rest -= p
-    return Word(tuple(parts))
-
-
 def suite_morphisms(bound: int, precision: float) -> list[dict]:
     out = []
     rng = random.Random(RNG_SEED)
@@ -669,8 +610,8 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
 
     for flavor, lam, star in (("stuffle", 1, False), ("star", -1, True), ("shuffle", 0, False)):
         for i in range(12):
-            u = _random_convergent_word(rng, max_weight - 2)
-            v = _random_convergent_word(rng, max_weight - u.weight())
+            u = Word(random_composition(rng, rng.randint(2, max_weight - 2)))
+            v = Word(random_composition(rng, rng.randint(2, max_weight - u.weight())))
             if flavor == "shuffle":
                 u, v = binarise(u), binarise(v)
             sh = shuffle_words_basis(u, v, lam)

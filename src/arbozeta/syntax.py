@@ -164,6 +164,8 @@ class _Parser:
             kind, value = self.next()
             if kind != "num":
                 raise ParseError(f"expected a denominator, got {value!r}")
+            if int(value) == 0:
+                raise ParseError(f"zero denominator in {numerator}/{value}")
             return Fraction(numerator, int(value))
         return Fraction(numerator)
 
@@ -180,11 +182,7 @@ class _Parser:
                 self.pos = save
         if self.at_sym("(") or self.peek()[0] == "str":
             return coeff, self.parse_word()
-        forest = self.parse_top_forest_term()
-        return coeff, forest
-
-    def parse_top_forest_term(self) -> Forest:
-        return self.parse_top_forest()
+        return coeff, self.parse_top_forest()
 
     def parse_lincomb(self) -> LinComb:
         out: LinComb = LinComb.zero()

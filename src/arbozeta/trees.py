@@ -5,12 +5,17 @@ integers), the strings ``'x'`` / ``'y'`` (binary alphabet), or any other
 string (generic test alphabets).  A forest stores its trees sorted under a
 fixed total order, so forest concatenation is commutative by construction and
 equality is structural equality.
+
+The public constructors check decorations and alphabets.  Product recursions
+build their intermediate trees and forests through the private
+``_unchecked`` constructors, which skip those checks but still sort.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import AlphabetMismatch, InvalidDecoration, UnsupportedAlphabet
@@ -39,20 +44,12 @@ def alphabet_of(dec: Decoration) -> Alphabet:
 
 
 def decoration_key(dec: Decoration) -> tuple:
-    """Sort key realizing the fixed total order on decorations."""
-    alph = alphabet_of(dec)
-    if alph is Alphabet.POSINT:
+    """Sort key realizing the fixed total order on (validated) decorations."""
+    if isinstance(dec, int):
         return (0, dec, "")
-    if alph is Alphabet.XY:
+    if dec in ("x", "y"):
         return (1, 0 if dec == "x" else 1, "")
     return (2, 0, dec)
-
-
-def decoration_product(a: Decoration, b: Decoration) -> Decoration:
-    """Semigroup product used by contracting shuffles: addition on positive integers."""
-    if alphabet_of(a) is Alphabet.POSINT and alphabet_of(b) is Alphabet.POSINT:
-        return a + b
-    raise UnsupportedAlphabet(f"no semigroup product for decorations {a!r}, {b!r}")
 
 
 def merge_alphabets(a: Alphabet | None, b: Alphabet | None) -> Alphabet | None:
@@ -61,6 +58,14 @@ def merge_alphabets(a: Alphabet | None, b: Alphabet | None) -> Alphabet | None:
     if b is None or a is b:
         return a
     raise AlphabetMismatch(f"mixed alphabets {a.value} and {b.value}")
+
+
+_sort_key = attrgetter("sort_key")
+
+
+def _canonical(trees: tuple) -> tuple:
+    """Trees in the fixed total order that makes multiset equality structural."""
+    return tuple(sorted(trees, key=_sort_key)) if len(trees) > 1 else trees
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,20 @@ class Tree:
         alph = alphabet_of(self.decoration)
         for child in self.children:
             merge_alphabets(alph, child.alphabet)
-        ordered = tuple(sorted(self.children, key=lambda t: t.sort_key))
-        object.__setattr__(self, "children", ordered)
+        object.__setattr__(self, "children", _canonical(tuple(self.children)))
+
+    @classmethod
+    def _unchecked(cls, decoration: Decoration, children: tuple["Tree", ...]) -> "Tree":
+        """Tree built without validation; the children are still sorted.
+
+        Precondition: ``decoration`` and ``children`` come from validated
+        values of one alphabet (or, for a contraction, the sum of two
+        validated positive-integer decorations).
+        """
+        tree = cls.__new__(cls)
+        object.__setattr__(tree, "decoration", decoration)
+        object.__setattr__(tree, "children", _canonical(children))
+        return tree
 
     @cached_property
     def sort_key(self) -> tuple:
@@ -137,8 +154,17 @@ class Forest:
         alph = None
         for tree in self.trees:
             alph = merge_alphabets(alph, tree.alphabet)
-        ordered = tuple(sorted(self.trees, key=lambda t: t.sort_key))
-        object.__setattr__(self, "trees", ordered)
+        object.__setattr__(self, "trees", _canonical(tuple(self.trees)))
+
+    @classmethod
+    def _unchecked(cls, trees: tuple[Tree, ...]) -> "Forest":
+        """Forest built without validation; the trees are still sorted.
+
+        Precondition: ``trees`` are validated trees of one alphabet.
+        """
+        forest = cls.__new__(cls)
+        object.__setattr__(forest, "trees", _canonical(trees))
+        return forest
 
     @cached_property
     def sort_key(self) -> tuple:
@@ -189,7 +215,7 @@ class Forest:
 
     def without(self, index: int) -> "Forest":
         """Forest with one copy of the tree at ``index`` removed."""
-        return Forest(self.trees[:index] + self.trees[index + 1 :])
+        return Forest._unchecked(self.trees[:index] + self.trees[index + 1 :])
 
     def __repr__(self) -> str:
         return f"Forest({list(self.trees)!r})"

@@ -4,24 +4,21 @@ The lambda-shuffle interpolates the shuffle (lambda = 0), stuffle (lambda = 1)
 and anti-stuffle (lambda = -1) products through one recursion; the contraction
 term multiplies letters in the additive semigroup of positive integers, so a
 nonzero lambda demands that alphabet.
+
+Validation happens where values enter: the public ``Word``/``word``
+constructors check every letter, and the product entry points check the
+alphabets and the semigroup condition.  The recursion then builds its terms
+in plain dicts and through ``Word._unchecked``, never re-validating a term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .errors import NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
-from .lincomb import Coeff, LinComb
-from .trees import (
-    Alphabet,
-    Decoration,
-    alphabet_of,
-    decoration_key,
-    decoration_product,
-    merge_alphabets,
-)
+from .lincomb import Coeff, LinComb, _as_comb, _norm
+from .trees import Alphabet, Decoration, alphabet_of, decoration_key, merge_alphabets
 
 
 @dataclass(frozen=True)
@@ -34,6 +31,17 @@ class Word:
         alph = None
         for letter in self.letters:
             alph = merge_alphabets(alph, alphabet_of(letter))
+
+    @classmethod
+    def _unchecked(cls, letters: tuple[Decoration, ...]) -> "Word":
+        """Word built without validation.
+
+        Precondition: every letter comes from a validated word (or is the sum
+        of two validated positive-integer letters), all of one alphabet.
+        """
+        w = cls.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     @cached_property
     def sort_key(self) -> tuple:
@@ -77,17 +85,16 @@ def concat_words(a: Word, b: Word) -> Word:
     return Word(a.letters + b.letters)
 
 
-def prepend(letter: Decoration, comb: LinComb[Word]) -> LinComb[Word]:
-    return comb.map_basis(lambda w: Word((letter,) + w.letters))
-
-
-def _require_semigroup(lam: Coeff, *alphabets: Alphabet | None):
+def _require_semigroup(lam: Coeff, *alphabets: Alphabet | None) -> Coeff:
+    """Reject a contracting product off the positive integers; return lambda
+    with an integral Fraction turned into an int."""
     if lam:
         for alph in alphabets:
             if alph is not None and alph is not Alphabet.POSINT:
                 raise SemigroupRequired(
-                    "contracting shuffle (lambda != 0) needs positive-integer letters"
+                    "contracting product (lambda != 0) needs positive-integer decorations"
                 )
+    return _norm(lam)
 
 
 _SHUFFLE_CACHE: dict = {}
@@ -96,40 +103,38 @@ _SHUFFLE_CACHE: dict = {}
 def shuffle_words_basis(a: Word, b: Word, lam: Coeff) -> LinComb[Word]:
     """Lambda-shuffle of two basis words."""
     merge_alphabets(a.alphabet, b.alphabet)
-    _require_semigroup(lam, a.alphabet, b.alphabet)
-    if isinstance(lam, Fraction) and lam.denominator == 1:
-        lam = int(lam)
-    return _shuffle_rec(a.letters, b.letters, lam)
+    return _shuffle_rec(a.letters, b.letters, _require_semigroup(lam, a.alphabet, b.alphabet))
+
+
+def _prepend_into(sums: dict, letter: Decoration, comb: LinComb[Word], coeff: Coeff):
+    head = (letter,)
+    for w, c in comb.items():
+        key = head + w.letters
+        sums[key] = sums.get(key, 0) + c * coeff
 
 
 def _shuffle_rec(u: tuple, v: tuple, lam: Coeff) -> LinComb[Word]:
-    if not u:
-        return LinComb.of(Word(v))
-    if not v:
-        return LinComb.of(Word(u))
+    """Hoffman's quasi-shuffle recursion on validated letter tuples, memoized."""
+    if not u or not v:
+        return LinComb._unchecked({u or v: 1}, Word._unchecked)
     key = (u, v, lam)
     cached = _SHUFFLE_CACHE.get(key)
     if cached is not None:
         return cached
-    head_u, rest_u = u[0], u[1:]
-    head_v, rest_v = v[0], v[1:]
-    out = prepend(head_u, _shuffle_rec(rest_u, v, lam)) + prepend(
-        head_v, _shuffle_rec(u, rest_v, lam)
-    )
+    sums: dict = {}
+    _prepend_into(sums, u[0], _shuffle_rec(u[1:], v, lam), 1)
+    _prepend_into(sums, v[0], _shuffle_rec(u, v[1:], lam), 1)
     if lam:
-        contracted = decoration_product(head_u, head_v)
-        out = out + prepend(contracted, _shuffle_rec(rest_u, rest_v, lam)).scale(lam)
+        # The semigroup product of positive-integer letters is their sum.
+        _prepend_into(sums, u[0] + v[0], _shuffle_rec(u[1:], v[1:], lam), lam)
+    out = LinComb._unchecked(sums, Word._unchecked)
     _SHUFFLE_CACHE[key] = out
     return out
 
 
 def shuffle_words(a: LinComb[Word] | Word, b: LinComb[Word] | Word, lam: Coeff) -> LinComb[Word]:
     """Bilinear lambda-shuffle on linear combinations of words."""
-    if isinstance(a, Word):
-        a = LinComb.of(a)
-    if isinstance(b, Word):
-        b = LinComb.of(b)
-    return a.bilinear(b, lambda w1, w2: shuffle_words_basis(w1, w2, lam))
+    return _as_comb(a).bilinear(_as_comb(b), lambda w1, w2: shuffle_words_basis(w1, w2, lam))
 
 
 def clear_shuffle_cache():
@@ -171,7 +176,7 @@ def binarise(w: Word | Iterable[int]) -> Word:
             raise UnsupportedAlphabet("binarisation needs positive-integer letters")
         letters.extend("x" * (part - 1))
         letters.append("y")
-    return Word(tuple(letters))
+    return Word._unchecked(tuple(letters))
 
 
 def debinarise(b: Word) -> Word:
@@ -188,4 +193,4 @@ def debinarise(b: Word) -> Word:
         else:
             parts.append(run + 1)
             run = 0
-    return Word(tuple(parts))
+    return Word._unchecked(tuple(parts))

@@ -35,7 +35,7 @@ from .errors import (
     PrecisionUnreachable,
 )
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
-from .lincomb import Coeff, LinComb
+from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest
 from .words import Word, binarise, debinarise, is_semiconvergent_word
 
@@ -274,6 +274,22 @@ def clear_mzv_cache():
 
 # -- combinations ----------------------------------------------------------------
 
+def words_to_combination(words: LinComb[Word], flavor: str) -> MzvCombination:
+    """Zeta combination of a word combination, debinarising binary words.
+
+    Every word must index a convergent series, also one whose terms cancel.
+    """
+    terms: dict[Composition, Coeff] = {}
+    for w, coeff in words.items():
+        if w and w.alphabet is Alphabet.XY:
+            w = debinarise(w)
+        index: Composition = w.letters
+        if index and index[0] < 2:
+            raise NonConvergent(f"divergent word {index}")
+        terms[index] = terms.get(index, 0) + coeff
+    return MzvCombination({index: c for index, c in terms.items() if c}, flavor)
+
+
 def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     """Exact reduction of an arborified zeta value to a zeta combination.
 
@@ -283,8 +299,7 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     is canonicalized first, so divergent basis forests are admissible as long
     as they cancel.
     """
-    if isinstance(comb, Forest):
-        comb = LinComb.of(comb)
+    comb = _as_comb(comb)
     if flavor not in ("stuffle", "star", "shuffle"):
         raise ValueError(f"unknown flavor {flavor!r}")
     required = ConvergenceClass.CONV_XY if flavor == "shuffle" else ConvergenceClass.CONV_POSINT
@@ -293,21 +308,7 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
         if convergence_class(forest, alphabet) is not required:
             raise NonConvergent(f"forest {forest!r} is not convergent for {flavor}")
     lam = {"stuffle": 1, "star": -1, "shuffle": 0}[flavor]
-    words = flatten(comb, lam)
-    terms: dict[Composition, Coeff] = {}
-    for w, coeff in words.items():
-        if flavor == "shuffle":
-            w = debinarise(w)
-        index: Composition = w.letters
-        if index and index[0] < 2:
-            raise NonConvergent(f"reduction produced divergent word {index}")
-        acc = terms.get(index, 0) + coeff
-        if acc:
-            terms[index] = acc
-        else:
-            terms.pop(index, None)
-    out_flavor = "star" if flavor == "star" else "strict"
-    result = MzvCombination(terms, out_flavor)
+    result = words_to_combination(flatten(comb, lam), "star" if flavor == "star" else "strict")
     if comb.all_integer() and not result.all_integer():
         raise ArithmeticError("integer input reduced to non-integer coefficients")
     return result
@@ -475,9 +476,7 @@ def eval_arborified_polylog(
 ) -> PolylogEval:
     """Arborified polylogarithm of a semiconvergent binary forest."""
     _check_polylog_args(z, precision)
-    comb = (
-        LinComb.of(forest_or_comb) if isinstance(forest_or_comb, Forest) else forest_or_comb
-    )
+    comb = _as_comb(forest_or_comb)
     for forest in comb:
         if not convergence_class(forest, Alphabet.XY).is_semiconvergent:
             raise NotSemiconvergent(f"forest {forest!r} is not semiconvergent")

@@ -123,6 +123,18 @@ class TestTreeShuffle:
         with pytest.raises(SemigroupRequired):
             shuffle_forests_basis(tree_forest(leaf("x")), tree_forest(leaf("y")), 1)
 
+    def test_terms_are_canonical(self):
+        # Terms built inside the recursion equal their rebuild, from reversed
+        # children, through the public constructors.
+        def rebuild(tree):
+            return Tree(tree.decoration, tuple(rebuild(c) for c in reversed(tree.children)))
+
+        a = Forest((leaf(2), b_plus(1, tree_forest(leaf(3), leaf(1)))))
+        b = Forest((leaf(1), b_plus(3, tree_forest(leaf(2)))))
+        for lam in (-1, 0, 1):
+            for f in shuffle_forests_basis(a, b, lam):
+                assert Forest(tuple(rebuild(t) for t in reversed(f.trees))) == f
+
     def test_gradings(self):
         a = Forest((leaf(2), leaf(3)))
         b = tree_forest(b_plus(2, tree_forest(leaf(1))))

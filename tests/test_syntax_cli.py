@@ -51,6 +51,10 @@ class TestGrammar:
         side_by_side = " ".join([nested(2)] * syntax.MAX_NESTING)
         assert len(syntax.parse_forest(side_by_side).trees) == syntax.MAX_NESTING
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            syntax.parse_lincomb("1/0*2")
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             syntax.parse_forest("2[")
@@ -147,6 +151,22 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "parse error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["parse", "1/0*2"], ["flatten", "1/0*2"], ["shuffle-words", "1/0*(2)", "(3)"]],
+        ids=["parse", "flatten", "shuffle-words"],
+    )
+    def test_zero_denominator_is_parse_error(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "arbozeta.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "zero denominator" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_domain_error_exit_code(self):

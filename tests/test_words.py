@@ -1,8 +1,15 @@
+import math
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from arbozeta.errors import NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
+from arbozeta.errors import (
+    AlphabetMismatch,
+    InvalidDecoration,
+    NotSemiconvergent,
+    SemigroupRequired,
+    UnsupportedAlphabet,
+)
 from arbozeta.lincomb import LinComb
 from arbozeta.words import (
     EMPTY_WORD,
@@ -18,6 +25,31 @@ from arbozeta.words import (
 )
 
 compositions = st.lists(st.integers(1, 4), max_size=5).map(tuple)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "letters, error",
+        [
+            ((2, "x"), AlphabetMismatch),
+            ((0,), InvalidDecoration),
+            ((True,), InvalidDecoration),
+            (("",), InvalidDecoration),
+            ((1.5,), InvalidDecoration),
+        ],
+    )
+    def test_constructor_rejects(self, letters, error):
+        with pytest.raises(error):
+            Word(letters)
+
+
+def lambda_shuffle_size(m: int, n: int, lam) -> Fraction:
+    """Coefficient sum of a lambda-shuffle of words of lengths m and n:
+    sum_k lam^k (m+n-k)! / (k! (m-k)! (n-k)!), the Delannoy number at lam = 1."""
+    return sum(
+        Fraction(lam) ** k * math.comb(m + n - k, k) * math.comb(m + n - 2 * k, m - k)
+        for k in range(min(m, n) + 1)
+    )
 
 
 class TestConcat:
@@ -66,11 +98,15 @@ class TestShuffles:
 
     @given(compositions, compositions)
     def test_shuffle_counts(self, a, b):
-        import math
-
         out = shuffle_words_basis(word(a), word(b), 0)
         assert out.coefficient_sum() == math.comb(len(a) + len(b), len(a))
         assert all(len(t) == len(a) + len(b) for t in out)
+
+    @pytest.mark.parametrize("lam", [0, -1, 1, 2, Fraction(1, 2)])
+    @given(a=compositions, b=compositions)
+    def test_lambda_shuffle_counts(self, lam, a, b):
+        out = shuffle_words_basis(word(a), word(b), lam)
+        assert out.coefficient_sum() == lambda_shuffle_size(len(a), len(b), lam)
 
     @given(compositions, compositions)
     def test_weight_conserved(self, a, b):
