@@ -4,6 +4,12 @@ Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  ``ARBOZETA_MAX_N`` overrides the
 cap on the polylog horizon.
+
+Only ``eval`` and ``polylog`` load numpy, when their series kernel first
+runs, and only ``check`` loads the identity suites; the exact verbs and the
+refused inputs load neither.  On a 2-vCPU shared VM an exact call such as
+``parse`` takes about 105-135 ms in a fresh process (the interpreter alone
+about 58 ms), an ``eval`` or ``polylog`` call about 175-275 ms.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import suites, syntax
+from . import syntax
 from .errors import ArbozetaError, ParseError
 from .forest_algebra import associator, binarise_comb, flatten, shuffle_forests
 from .lincomb import LinComb, _as_comb
@@ -204,6 +210,8 @@ def run(argv=None) -> int:
         return 0
 
     if args.verb == "check":
+        from . import suites
+
         try:
             report = suites.run_suite(args.suite, args.weight_bound, args.precision)
         except KeyError as exc:

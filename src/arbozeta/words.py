@@ -43,6 +43,9 @@ class Word:
         object.__setattr__(w, "letters", letters)
         return w
 
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
     @cached_property
     def sort_key(self) -> tuple:
         return tuple(decoration_key(l) for l in self.letters)

@@ -18,14 +18,16 @@ compared with the certified bound at the end.
 Every evaluation returns a value with a certified absolute error bound made
 of the series tail, the roundoff of the long-double pass, the conversion to
 float and the float arithmetic that combines the factors.
+
+numpy is imported on the kernel's first call, not with this module, so the
+exact reduction (:func:`reduce_azv`) and the argument checks run without it.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cache
 
 from .errors import (
     DivergentIndex,
@@ -46,9 +48,15 @@ DEFAULT_MAX_N = 10**7
 FIRST_N = 64  # first polylog horizon tried; the horizon doubles from here
 MZV_TAIL = 2.0**-64  # series tail allowed in each Hölder factor
 
-_LD = np.longdouble
-_LD_U = float(np.finfo(_LD).eps) / 2  # unit roundoff of long double, round to nearest
 _F64_U = 2.0**-53  # unit roundoff of float
+
+
+@cache
+def _long_double():
+    """numpy and the unit roundoff of its long double (round to nearest), on first use."""
+    import numpy as np
+
+    return np, float(np.finfo(np.longdouble).eps) / 2
 
 
 def summation_cap(max_n: int | None = None) -> int:
@@ -168,17 +176,18 @@ def _suffix_polylogs(
         if n >= cap:
             raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
         n = min(2 * n, cap)
-    inv = 1 / np.arange(1, n + 1, dtype=_LD)
+    np, ld_u = _long_double()
+    inv = 1 / np.arange(1, n + 1, dtype=np.longdouble)
     powers = [None, inv]  # powers[r][m-1] = m^-r
     for _ in range(1, max(s)):
         powers.append(powers[-1] * inv)
-    zpow = np.cumprod(np.full(n, z, dtype=_LD))
+    zpow = np.cumprod(np.full(n, z, dtype=np.longdouble))
     # Every summand passes at most sum(s) roundings in its powers, n - 1 in
     # z^m, n - 1 in each cumulative sum and in the final sum, and one per
     # product: sum(s) + (len(s) + 1) * n in all; 4 more cover second-order terms.
-    rel = _gamma(sum(s) + (len(s) + 1) * n + 4, _LD_U) + _F64_U
+    rel = _gamma(sum(s) + (len(s) + 1) * n + 4, ld_u) + _F64_U
     values = [0.0] * sum(s)
-    inner = np.ones(n, dtype=_LD)
+    inner = np.ones(n, dtype=np.longdouble)
     start = sum(s)
     for j in range(len(s) - 1, -1, -1):
         start -= s[j]
@@ -380,14 +389,15 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
     if flavor not in ("stuffle", "star"):
         raise ValueError(f"unknown flavor {flavor!r}")
     star = flavor == "star"
-    ns = np.arange(1, horizon + 1, dtype=_LD)
+    np, _ = _long_double()
+    ns = np.arange(1, horizon + 1, dtype=np.longdouble)
 
     def tree_array(tree):
         out = ns ** (-tree.decoration)
         for child in tree.children:
             prefix = np.cumsum(tree_array(child))
             if not star:
-                prefix = np.concatenate((np.zeros(1, dtype=_LD), prefix[:-1]))
+                prefix = np.concatenate((np.zeros(1, dtype=np.longdouble), prefix[:-1]))
             out = out * prefix
         return out
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -110,6 +111,42 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# (argv, exit code) of CLI calls that must not load numpy or the identity suites:
+# every exact verb, and eval/polylog inputs refused before the series kernel runs.
+_NUMPY_FREE_CALLS = [
+    (["parse", "2[1]"], 0),
+    (["shuffle-words", "(2)", "(3)", "--lambda", "1"], 0),
+    (["shuffle-trees", "2", "2[1]", "--lambda", "1"], 0),
+    (["flatten", "2[1,1]", "--lambda", "-1"], 0),
+    (["binarize", "(2,1)"], 0),
+    (["binarize-tree", "2[1,1]"], 0),
+    (["reduce", "2[1] 2", "--json"], 0),
+    (["associator", "2", "3", "2[1]", "--lambda", "1"], 0),
+    (["eval", "1[2]"], 3),
+    (["polylog", "(2)", "--z", "1.5"], 3),
+    (["eval", "2[1]", "--precision", "nan"], 3),
+]
+
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+import arbozeta, arbozeta.cli
+
+def loaded():
+    return [name for name in ("numpy", "arbozeta.suites") if name in sys.modules]
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = arbozeta.cli.main(argv)
+    return code, out.getvalue(), loaded()
+
+report = {"import": loaded()}
+report["calls"] = [call(argv)[::2] for argv, _ in json.loads(sys.argv[1])]
+report["eval"] = call(["eval", "2 2", "--json"])
+print(json.dumps(report))
+"""
 
 
 class TestCli:
@@ -237,8 +274,11 @@ class TestCli:
         assert "checks passed" not in out
 
     def test_unknown_suite(self):
-        code, _, err = run_cli("check", "--suite", "nope")
-        assert code == 3 or code == 2
+        code, out, err = run_cli("check", "--suite", "nope")
+        assert code == 2
+        assert out == ""
+        assert "unknown suite 'nope'" in err
+        assert "available: associator-kernel," in err and "worked-identity, all" in err
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(
@@ -248,6 +288,25 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2[1]"
+
+    def test_exact_verbs_skip_numpy_and_suites(self):
+        # A fresh interpreter: pytest and the other tests have imported both.
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GUARD, json.dumps(_NUMPY_FREE_CALLS)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["import"] == []
+        for (argv, code), (got_code, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
+            assert (got_code, loaded) == (code, []), argv
+        code, out, loaded = report["eval"]
+        assert code == 0
+        assert loaded == ["numpy"]
+        ev = json.loads(out)
+        assert abs(ev["value"] - math.pi**4 / 36) <= ev["abs_error"] <= 1e-8
 
     def test_deterministic_output(self):
         first = run_cli("shuffle-trees", "2 2", "2", "--lambda", "1")

@@ -42,6 +42,14 @@ class TestValidation:
         with pytest.raises(error):
             Word(letters)
 
+    @pytest.mark.parametrize("letters", [(), (2, 1, 3), ("x", "y", "y")])
+    def test_unchecked_word_is_the_same_key(self, letters):
+        checked, unchecked = word(letters), Word._unchecked(letters)
+        assert checked == unchecked
+        assert hash(checked) == hash(unchecked)
+        assert {checked: 1}[unchecked] == 1
+        assert {unchecked: 2}[checked] == 2
+
 
 def lambda_shuffle_size(m: int, n: int, lam) -> Fraction:
     """Coefficient sum of a lambda-shuffle of words of lengths m and n:
