@@ -7,9 +7,9 @@ cap on the polylog horizon.
 
 Only ``eval`` and ``polylog`` load numpy, when their series kernel first
 runs, and only ``check`` loads the identity suites; the exact verbs and the
-refused inputs load neither.  On a 2-vCPU shared VM an exact call such as
-``parse`` takes about 105-135 ms in a fresh process (the interpreter alone
-about 58 ms), an ``eval`` or ``polylog`` call about 175-275 ms.
+refused inputs load neither.  On a 2-vCPU shared VM one call in a fresh
+process takes about 105-145 ms for an exact verb and 270-300 ms for
+``eval`` or ``polylog``; the interpreter alone takes 40-65 ms.
 """
 from __future__ import annotations
 
