@@ -143,7 +143,7 @@ def call(argv):
     return code, out.getvalue(), loaded()
 
 report = {"import": loaded()}
-report["calls"] = [call(argv)[::2] for argv, _ in json.loads(sys.argv[1])]
+report["calls"] = [call(argv) for argv, _ in json.loads(sys.argv[1])]
 report["eval"] = call(["eval", "2 2", "--json"])
 print(json.dumps(report))
 """
@@ -300,7 +300,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["import"] == []
-        for (argv, code), (got_code, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
+        for (argv, code), (got_code, _, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
             assert (got_code, loaded) == (code, []), argv
         code, out, loaded = report["eval"]
         assert code == 0
