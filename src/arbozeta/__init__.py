@@ -23,7 +23,6 @@ from .forest_algebra import (
     binarise_forest,
     binarise_tree,
     convergence_class,
-    debinarise_comb,
     debinarise_forest,
     debinarise_tree,
     flatten,

@@ -197,10 +197,6 @@ def debinarise_forest(forest: Forest) -> Forest:
     return Forest(tuple(debinarise_tree(t) for t in forest.trees))
 
 
-def debinarise_comb(comb: ForestComb | Forest) -> ForestComb:
-    return _as_comb(comb).map_basis(debinarise_forest)
-
-
 # -- convergence ---------------------------------------------------------------
 
 class ConvergenceClass(enum.Enum):

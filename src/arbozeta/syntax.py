@@ -369,6 +369,7 @@ def tree_from_json(data: dict) -> Tree:
 
 
 def forest_from_json(data: list) -> Forest:
+    """Inverse of ``forest_to_json``; the JSON round-trip test uses it to show that format is lossless."""
     return Forest(tuple(tree_from_json(t) for t in data))
 
 

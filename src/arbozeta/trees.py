@@ -196,10 +196,6 @@ class Forest:
     def is_tree(self) -> bool:
         return len(self.trees) == 1
 
-    def is_ladder_product(self) -> bool:
-        """True when no tree of the forest has a branching vertex."""
-        return all(t.is_ladder() for t in self.trees)
-
     def vertices(self) -> Iterable[Decoration]:
         for tree in self.trees:
             yield from tree.vertices()

@@ -30,6 +30,65 @@ from arbozeta.zeta import MzvCombination, eval_combination, eval_mzv, reduce_azv
 PRECISION = 1e-8
 
 
+# The exact families of check --suite all --weight-bound 6, in report order.
+# Their case counts are pure combinatorics: a family that checks fewer cases
+# shows up here, on every platform.
+EXACT_FAMILIES_AT_6 = [
+    ("word-shuffle", "commutativity lambda=-1 [164 instances]"),
+    ("word-shuffle", "associativity lambda=-1 [1023 instances]"),
+    ("word-shuffle", "commutativity lambda=0 [164 instances]"),
+    ("word-shuffle", "associativity lambda=0 [1023 instances]"),
+    ("word-shuffle", "commutativity lambda=1 [164 instances]"),
+    ("word-shuffle", "associativity lambda=1 [1023 instances]"),
+    ("word-shuffle", "shuffle term count = binomial, lengths add [196 instances]"),
+    ("word-shuffle", "weight conservation lambda=-1 [321 instances]"),
+    ("word-shuffle", "weight conservation lambda=1 [321 instances]"),
+    ("word-shuffle", "convergent words closed under shuffles [112 instances]"),
+    ("tree-shuffle", "commutativity lambda=-1 [1262 instances]"),
+    ("tree-shuffle", "commutativity lambda=0 [1262 instances]"),
+    ("tree-shuffle", "commutativity lambda=1 [1262 instances]"),
+    ("tree-shuffle", "empty forest is the unit [120 instances]"),
+    ("tree-shuffle", "four-point associator = 1/4 products - 1/4 deep trees [1 instances]"),
+    ("tree-shuffle", "unnormalized four-point associator = published product pairs [1 instances]"),
+    ("tree-shuffle", "stuffle associator of (2 2, 2, 2) is nonzero [1 instances]"),
+    ("tree-shuffle", "weight grading lambda=-1 [1262 instances]"),
+    ("tree-shuffle", "weight grading lambda=1 [1262 instances]"),
+    ("tree-shuffle", "size grading lambda=0 [1262 instances]"),
+    ("flatten", "concatenation-to-shuffle morphism lambda=-1 [470 instances]"),
+    ("flatten", "concatenation-to-shuffle morphism lambda=0 [470 instances]"),
+    ("flatten", "concatenation-to-shuffle morphism lambda=1 [470 instances]"),
+    ("flatten", "integer coefficients for integer lambda=-1 [143 instances]"),
+    ("flatten", "integer coefficients for integer lambda=0 [143 instances]"),
+    ("flatten", "integer coefficients for integer lambda=1 [143 instances]"),
+    ("flatten", "ladders flatten to their words [63 instances]"),
+    ("flatten", "convergent forests flatten to convergent words [978 instances]"),
+    ("linear-extensions", "flatten(0) coefficient sum = number of linear extensions [200 instances]"),
+    ("binarisation", "word binarisation: grading, roundtrip, convergence [128 instances]"),
+    ("binarisation", "binarisation is a concatenation morphism [576 instances]"),
+    ("binarisation", "onto convergent binary words (inverse roundtrip) [63 instances]"),
+    ("binarisation", "branched binarisation: grading, roundtrip, convergence [1042 instances]"),
+    ("binarisation", "image of branched binarisation = semiconvergent forests [2659 instances]"),
+    ("binarisation", "flatten(0) of binarised ladders = binarised words [126 instances]"),
+    ("rota-baxter", "strict-sum satisfies the weight 1 identity [10 instances]"),
+    ("rota-baxter", "nonstrict-sum satisfies the weight -1 identity [10 instances]"),
+    ("rota-baxter", "integration satisfies the weight 0 identity [10 instances]"),
+    ("rota-baxter", "negative control violates the identity [4 instances]"),
+    ("rota-baxter", "factorization through words on strict-sum [3739 instances]"),
+    ("rota-baxter", "factorization through words on nonstrict-sum [3739 instances]"),
+    ("rota-baxter", "factorization through words on integration [3739 instances]"),
+    ("rota-baxter", "negative control breaks factorization on a small forest [1 instances]"),
+    ("rota-baxter", "tree-shuffle morphism on strict-sum [816 instances]"),
+    ("rota-baxter", "tree-shuffle morphism on nonstrict-sum [816 instances]"),
+    ("rota-baxter", "tree-shuffle morphism on integration [816 instances]"),
+    ("star-reduction", "merge expansion of (2,1,1) [1 instances]"),
+    ("hoffman-words", "divergent binary words cancel in the regularisation combination [31] [31 instances]"),
+    ("hoffman-trees", "tree-level regularisation difference is convergent [325 instances]"),
+    ("hoffman-trees", "word-level discrepancy keeps divergent words exactly off single ladders [325 instances]"),
+    ("hoffman-trees", "divergent basis forests cancel exactly in the 2[1,1] defect [1 instances]"),
+    ("hoffman-trees", "2[1,1] defect reduces to 2z(3,1,1)+z(2,1,2)+2z(2,2,1)-2z(2,1,1,1) [1 instances]"),
+]
+
+
 def _report(number: int, label: str, entries, budget: float, elapsed: float):
     bad = [e for e in entries if not e["pass"]]
     status = "PASS" if not bad and elapsed < budget else "FAIL"
@@ -239,3 +298,5 @@ def test_check_all_entry_point():
     print(f"[acceptance] check --suite all --weight-bound 6: "
           f"{'PASS' if not bad else 'FAIL'} [{len(entries)} entries, {elapsed:.1f}s]")
     assert not bad, f"{len(bad)} entries failed; first: {bad[0]['instance']}"
+    exact = [(e["suite"], e["instance"]) for e in entries if e["lhs"] == "exact"]
+    assert exact == EXACT_FAMILIES_AT_6

@@ -1,7 +1,7 @@
 import pytest
 
 from arbozeta.errors import DomainError
-from arbozeta.suites import SUITES, run_suite
+from arbozeta.suites import SUITES, _family, _pairs, run_suite
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
 
@@ -33,3 +33,30 @@ def test_bad_weight_bound_rejected(bound):
 def test_all_runs_every_suite():
     entries = run_suite("all", 3, 1e-6)
     assert {e["suite"] for e in entries} == set(SUITES)
+
+
+def test_family_counts_failures_and_names_the_first():
+    described = []
+
+    def describe(case):
+        described.append(case)
+        return f"n={case}"
+
+    entry = _family("demo", "even numbers", iter([2, 4, 5, 6, 7]), lambda n: n % 2 == 0, describe)
+    assert entry["instance"] == "even numbers [5 instances]; first failure: n=5"
+    assert (entry["lhs"], entry["rhs"], entry["tolerance"]) == ("exact", "exact", 0.0)
+    assert entry["residual"] == 2.0
+    assert entry["pass"] is False
+    assert described == [5]
+
+    passing = _family("demo", "even numbers", [2, 4], lambda n: n % 2 == 0, describe)
+    assert passing["instance"] == "even numbers [2 instances]"
+    assert passing["residual"] == 0.0 and passing["pass"] is True
+    assert described == [5]
+
+
+def test_pairs_match_the_filtered_double_loop():
+    items = ["", "a", "b", "cc", "dd", "eee"]
+    for limit in range(-1, 8):
+        want = [(a, b) for a in items for b in items if len(a) + len(b) <= limit]
+        assert list(_pairs(items, len, limit)) == want

@@ -137,13 +137,15 @@ def loaded():
     return [name for name in ("numpy", "arbozeta.suites") if name in sys.modules]
 
 def call(argv):
+    before = loaded()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = arbozeta.cli.main(argv)
-    return code, out.getvalue(), loaded()
+    return code, out.getvalue(), [name for name in loaded() if name not in before]
 
 report = {"import": loaded()}
 report["calls"] = [call(argv) for argv, _ in json.loads(sys.argv[1])]
+report["unknown_suite"] = call(["check", "--suite", "nope"])
 report["eval"] = call(["eval", "2 2", "--json"])
 print(json.dumps(report))
 """
@@ -302,6 +304,8 @@ class TestCli:
         assert report["import"] == []
         for (argv, code), (got_code, _, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
             assert (got_code, loaded) == (code, []), argv
+        code, _, loaded = report["unknown_suite"]
+        assert (code, loaded) == (2, ["arbozeta.suites"])
         code, out, loaded = report["eval"]
         assert code == 0
         assert loaded == ["numpy"]

@@ -188,4 +188,3 @@ class TestLadders:
 
     def test_branching_detection(self):
         assert not Tree(2, (leaf(1), leaf(1))).is_ladder()
-        assert Forest((leaf(2), leaf(3))).is_ladder_product()
