@@ -101,6 +101,12 @@ def _describe(case) -> str:
     return str(case)
 
 
+def _with_lambda(case) -> str:
+    """A ``(case, lambda)`` pair as the case followed by ``lam=...``."""
+    case, lam = case
+    return f"{_describe(case)} lam={lam}"
+
+
 def _first_failure(failing, describe=_describe) -> str:
     """The ``; first failure: ...`` suffix of an instance text; empty when nothing failed."""
     return f"; first failure: {describe(failing[0])}" if failing else ""
@@ -231,7 +237,8 @@ def suite_tree_shuffle(bound: int, precision: float) -> list[dict]:
         f, lam = case
         return shuffle_forests_basis(Forest(), f, lam) == LinComb.of(f) == shuffle_forests_basis(f, Forest(), lam)
 
-    out.append(_family("tree-shuffle", "empty forest is the unit", cartesian(forests[:40], LAMBDAS), is_unit))
+    units = cartesian(forests[:40], LAMBDAS)
+    out.append(_family("tree-shuffle", "empty forest is the unit", units, is_unit, _with_lambda))
 
     # Four-point nonassociativity witness (a b sh c) sh d - a b sh (c sh d).
     # The product-of-pairs part matches the published counterexample; the 1/kn
@@ -335,6 +342,7 @@ def suite_flatten(bound: int, precision: float) -> list[dict]:
             "convergent forests flatten to convergent words",
             cartesian(_convergent_forests(4), LAMBDAS),
             lambda case: all(is_convergent_word(w) for w in flatten_forest(*case)),
+            _with_lambda,
         )
     )
     return out

@@ -1,7 +1,9 @@
 import pytest
 
 from arbozeta.errors import DomainError
-from arbozeta.suites import SUITES, _family, _pairs, run_suite
+from arbozeta import syntax
+from arbozeta.suites import SUITES, _family, _pairs, _with_lambda, run_suite
+from arbozeta.words import word
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
 
@@ -53,6 +55,15 @@ def test_family_counts_failures_and_names_the_first():
     assert passing["instance"] == "even numbers [2 instances]"
     assert passing["residual"] == 0.0 and passing["pass"] is True
     assert described == [5]
+
+
+def test_witness_text_of_words_forests_and_lambda():
+    pair = (word((1, 2)), word((2,)))
+    entry = _family("demo", "never", [pair], lambda _: False)
+    assert entry["instance"] == "never [1 instances]; first failure: (1,2) | (2)"
+    case = (syntax.parse_forest("2[1]"), -1)
+    entry = _family("demo", "never", [case], lambda _: False, _with_lambda)
+    assert entry["instance"] == "never [1 instances]; first failure: 2[1] lam=-1"
 
 
 def test_pairs_match_the_filtered_double_loop():

@@ -137,15 +137,13 @@ def loaded():
     return [name for name in ("numpy", "arbozeta.suites") if name in sys.modules]
 
 def call(argv):
-    before = loaded()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = arbozeta.cli.main(argv)
-    return code, out.getvalue(), [name for name in loaded() if name not in before]
+    return code, out.getvalue(), loaded()
 
 report = {"import": loaded()}
 report["calls"] = [call(argv) for argv, _ in json.loads(sys.argv[1])]
-report["unknown_suite"] = call(["check", "--suite", "nope"])
 report["eval"] = call(["eval", "2 2", "--json"])
 print(json.dumps(report))
 """
@@ -304,13 +302,23 @@ class TestCli:
         assert report["import"] == []
         for (argv, code), (got_code, _, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
             assert (got_code, loaded) == (code, []), argv
-        code, _, loaded = report["unknown_suite"]
-        assert (code, loaded) == (2, ["arbozeta.suites"])
         code, out, loaded = report["eval"]
         assert code == 0
         assert loaded == ["numpy"]
         ev = json.loads(out)
         assert abs(ev["value"] - math.pi**4 / 36) <= ev["abs_error"] <= 1e-8
+
+    def test_unknown_suite_skips_numpy(self):
+        # Its own fresh interpreter, so the guard above still sees eval run without the suites.
+        probe = (
+            "import contextlib, io, sys, arbozeta.cli\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = arbozeta.cli.main(['check', '--suite', 'nope'])\n"
+            "print(code, 'numpy' in sys.modules, 'arbozeta.suites' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "False", "True"]
 
     def test_deterministic_output(self):
         first = run_cli("shuffle-trees", "2 2", "2", "--lambda", "1")
