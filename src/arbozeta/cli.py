@@ -5,11 +5,11 @@ reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  ``ARBOZETA_MAX_N`` overrides the
 cap on the polylog horizon.
 
-Only ``eval`` and ``polylog`` load numpy, when their series kernel first
-runs, and only ``check`` loads the identity suites; the exact verbs and the
-refused inputs load neither.  On a 2-vCPU shared VM one call in a fresh
-process takes about 105-145 ms for an exact verb and 270-300 ms for
-``eval`` or ``polylog``; the interpreter alone takes 40-65 ms.
+Only ``check`` loads numpy and the identity suites; every other verb
+loads neither, since the series kernel behind ``eval`` and ``polylog``
+works in fixed point at 2^-128 in Python ints.  On a 2-vCPU shared VM one
+call in a fresh process takes about 105-150 ms for any verb but ``check``,
+``eval`` and ``polylog`` included; the interpreter alone takes 40-65 ms.
 """
 from __future__ import annotations
 

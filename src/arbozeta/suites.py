@@ -65,7 +65,7 @@ from .words import (
 )
 from .zeta import (
     MzvCombination,
-    brute_force_azv,
+    MzvEval,
     eval_arborified_polylog,
     eval_combination,
     eval_mzv,
@@ -774,7 +774,7 @@ def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
     return [
         _family(
             "hoffman-words",
-            f"divergent binary words cancel in the regularisation combination [{checked}]",
+            "divergent binary words cancel in the regularisation combination",
             differences,
             convergent,
         ),
@@ -930,6 +930,83 @@ def suite_worked_identity(bound: int, precision: float) -> list[dict]:
         )
     )
     return out
+
+
+def _falling(p: int, j: int) -> int:
+    out = 1
+    for i in range(j):
+        out *= p - i
+    return out
+
+
+def _integral_tail(b: int, p: int, n: int) -> float:
+    """Integral from n to infinity of x^(-b) ln(x)^p dx, exact, for b > 1."""
+    ln = math.log(n)
+    return sum(
+        _falling(p, j) / (b - 1) ** (j + 1) * n ** (1 - b) * ln ** (p - j) for j in range(p + 1)
+    )
+
+
+def _em_tail_upper(b: int, p: int, n: int) -> float:
+    """Upper bound on sum_{m >= n} m^(-b) ln(m)^p, b > 1, by Euler-Maclaurin."""
+    ln = math.log(n)
+    est = _integral_tail(b, p, n) + 0.5 * n ** (-b) * ln**p
+    est -= n ** (-b - 1) * (p * ln ** (p - 1) - b * ln**p) / 12.0
+    err = (
+        b * (b + 1) * _integral_tail(b + 2, p, n)
+        + (p * (2 * b + 1) * _integral_tail(b + 2, p - 1, n) if p else 0.0)
+        + (p * (p - 1) * _integral_tail(b + 2, p - 2, n) if p >= 2 else 0.0)
+    ) / 12.0
+    return abs(est) + err
+
+
+def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> MzvEval:
+    """Direct nested summation over the tree structure, truncated at ``horizon``.
+
+    Child variables run strictly below (stuffle) or up to (star) their parent.
+    The coarse tail bound majorizes the inner levels by harmonic-log growth;
+    this is the desk-scale oracle against the reduction pipeline, so it never
+    touches the flattening machinery.
+    """
+    if flavor not in ("stuffle", "star"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    star = flavor == "star"
+    import numpy as np
+
+    ns = np.arange(1, horizon + 1, dtype=np.longdouble)
+
+    def tree_array(tree):
+        out = ns ** (-tree.decoration)
+        for child in tree.children:
+            prefix = np.cumsum(tree_array(child))
+            if not star:
+                prefix = np.concatenate((np.zeros(1, dtype=np.longdouble), prefix[:-1]))
+            out = out * prefix
+        return out
+
+    def log_tail(exponent: int, vertices: int, start: int) -> float:
+        # sum_{n >= start} n^-exponent (1+ln n)^(vertices-1), via binomial expansion
+        p = vertices - 1
+        total = 0.0
+        for j in range(p + 1):
+            total += math.comb(p, j) * _em_tail_upper(exponent, j, start)
+        return total
+
+    values = []
+    tail_bounds = []
+    full_bounds = []
+    for tree in forest.trees:
+        arr = tree_array(tree)
+        values.append(float(arr.sum()))
+        tail_bounds.append(log_tail(tree.decoration, tree.vertex_count, horizon + 1))
+        full_bounds.append(1.0 + log_tail(tree.decoration, tree.vertex_count, 2))
+    value = math.prod(values)
+    err = 0.0
+    for i, tail in enumerate(tail_bounds):
+        err += tail * math.prod(
+            full_bounds[j] for j in range(len(values)) if j != i
+        )
+    return MzvEval(value, err, (), "star" if star else "strict")
 
 
 def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:

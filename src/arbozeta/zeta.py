@@ -8,26 +8,50 @@ Trans. AMS 353, 2001).  For the binary word w = binarise(s) of length n,
     zeta(w) = sum_{k=0..n} Li_{tau(w[:k])}(1/2) * Li_{w[k:]}(1/2),
 
 where tau reverses a word and swaps x and y.  Every factor is a power series
-in z summed in long double up to a horizon N where its tail, bounded
-analytically, is negligible; one innermost-first pass over a word gives the
-values of all its suffixes.  Strict values are always computed to the
-kernel's own floor (about 1e-15 relative) and cached, star values are sums of
-strict ones (:func:`star_to_strict`), and the requested precision is only
-compared with the certified bound at the end.
+in z, summed in fixed point at 2^-128 in Python ints up to a horizon N where
+its tail, bounded analytically, is negligible; one innermost-first pass over
+a word gives the values of all its suffixes.  Strict values are always
+computed to the kernel's own floor (about 1e-15 relative, the rounding to
+float) and cached, star values are sums of strict ones
+(:func:`star_to_strict`), and the requested precision is only compared with
+the certified bound at the end.
 
 Every evaluation returns a value with a certified absolute error bound made
-of the series tail, the roundoff of the long-double pass, the conversion to
-float and the float arithmetic that combines the factors.
+of the series tail, the fixed-point roundoff, the conversion to float and the
+float arithmetic that combines the factors.
 
-numpy is imported on the kernel's first call, not with this module, so the
-exact reduction (:func:`reduce_azv`) and the argument checks run without it.
+Roundoff of the fixed-point kernel.  With X = 2^P (P = 128) the kernel holds
+floor(X z^m), floor(X / m^r) and the strict inner sums S_v(m) =
+sum_{m > m_1 > ...} prod_i m_i^-v_i at scale X.  Every stored number lies
+below its true value by less than a bound E counted in ulps (units of
+2^-P), and every sum of products is exact until it is floored once:
+
+- a table entry floor(X / m^r), built by nested floor division, has E < 1;
+- a power has E < 2/(1 - z): each step floor(Z * floor(X z) / X) carries
+  the error before it times z and adds less than 1 + z^(m-1) ulps, and
+  at z = 1/2 every power is an exact shift;
+- one level S_(p, v)(m) = floor(sum_{m' < m} T_p(m') S_v(m') / X) has
+  E <= 1 + sum_{m'<m} (m'^-p E_v + S_v(m')): one cumulative-sum level scales
+  the earlier error E_v by at most sum m^-p <= L = 1 + ln N, and the table
+  floors add at most N L^d for S_v <= L^d, d = len(v).  By induction
+  E_v <= d (N + 1) L^(d-1).
+
+The value of u = (r, v), k = len(u), is sum_m Z_m T_r(m) S_v(m) / X^3, one
+correctly rounded int-to-float division.  Before that division it lies below
+the truncated series by at most (2/(1 - z) L^k + N L^(k-1) + L E_v) 2^-P
+<= (k + 2/(1 - z)) (N + 1) L^k 2^-P, which is :func:`_roundoff`.  At the MZV
+horizons (N = 64 or 128, weight <= 14) that is below 1e-25.
+
+This module imports no numpy; only the ``check`` oracles in
+:mod:`arbozeta.suites` use it.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import (
     DivergentIndex,
@@ -48,15 +72,18 @@ DEFAULT_MAX_N = 10**7
 FIRST_N = 64  # first polylog horizon tried; the horizon doubles from here
 MZV_TAIL = 2.0**-64  # series tail allowed in each Hölder factor
 
+P = 128  # the kernel's fixed point: integers scaled by 2^P
+BLOCK = 4096  # horizons longer than this are walked in blocks of this many terms
+_ONE = 1 << P
+_SCALE3 = 1 << 3 * P  # scale of a sum of products of three fixed-point factors
 _F64_U = 2.0**-53  # unit roundoff of float
 
-
-@cache
-def _long_double():
-    """numpy and the unit roundoff of its long double (round to nearest), on first use."""
-    import numpy as np
-
-    return np, float(np.finfo(np.longdouble).eps) / 2
+# The kernel's memos, emptied by clear_mzv_cache.  Tables, powers and levels
+# are kept only for horizons of one block.
+_TABLES: dict[tuple[int, int], list[int]] = {}  # (n, r): floor(2^P / m^r), m = 1..n
+_ZPOWERS: dict[tuple[float, int], list[int]] = {}  # (z, n): floor(2^P z^m), m = 1..n
+_LEVELS: dict[tuple[Composition, int], list[int]] = {}  # (v, n): S_v(m) at 2^P, m = 1..n
+_SUMS: dict[tuple[Composition, float, int], int] = {}  # (u, z, n): see _fixed_polylogs
 
 
 def summation_cap(max_n: int | None = None) -> int:
@@ -160,43 +187,117 @@ def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
     return math.exp(log_tail)
 
 
-def _suffix_polylogs(
-    s: Composition, z: float, tail: float, cap: int
-) -> list[tuple[float, float]]:
-    """(value, error bound) of Li_u(z) for every nonempty suffix u of binarise(s).
+def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, float]:
+    """The first horizon FIRST_N * 2^k, at most ``cap``, whose tail bound meets ``tail``.
 
-    Entry p is the suffix that starts at letter p.  One innermost-first pass
-    builds the strict inner sums A_j(m); a suffix that starts inside the x-run
-    of part j differs from the one at the run's start only in its top
-    exponent, so it costs one dot product with A_j.  The composition
-    (1, s[1:]) has the largest tail of all suffixes, so it sets the horizon.
+    The composition (1, s[1:]) has the largest tail of all suffixes of
+    binarise(s), so its bound covers every suffix.
     """
     n = min(FIRST_N, cap)
     while (tail_bound := _tail_bound(1, s[1:], z, n)) > tail:
         if n >= cap:
             raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
         n = min(2 * n, cap)
-    np, ld_u = _long_double()
-    inv = 1 / np.arange(1, n + 1, dtype=np.longdouble)
-    powers = [None, inv]  # powers[r][m-1] = m^-r
-    for _ in range(1, max(s)):
-        powers.append(powers[-1] * inv)
-    zpow = np.cumprod(np.full(n, z, dtype=np.longdouble))
-    # Every summand passes at most sum(s) roundings in its powers, n - 1 in
-    # z^m, n - 1 in each cumulative sum and in the final sum, and one per
-    # product: sum(s) + (len(s) + 1) * n in all; 4 more cover second-order terms.
-    rel = _gamma(sum(s) + (len(s) + 1) * n + 4, ld_u) + _F64_U
-    values = [0.0] * sum(s)
-    inner = np.ones(n, dtype=np.longdouble)
-    start = sum(s)
-    for j in range(len(s) - 1, -1, -1):
-        start -= s[j]
-        weighted = zpow * inner
-        for r in range(1, s[j] + 1):
-            values[start + s[j] - r] = float((powers[r] * weighted).sum())
-        if j:
-            inner = np.concatenate(([0], np.cumsum(powers[s[j]] * inner)[:-1]))
-    return [(v, tail_bound + rel * abs(v)) for v in values]
+    return n, tail_bound
+
+
+def _roundoff(depth: int, z: float, n: int) -> float:
+    """Bound on the fixed-point error of one truncated Li_u(z), len(u) = ``depth`` (module docstring)."""
+    return (depth + 2.0 / (1.0 - z)) * (n + 1) * (1.0 + math.log(n)) ** depth * 2.0**-P
+
+
+def _suffixes(s: Composition) -> list[Composition]:
+    """The compositions of the nonempty suffixes of binarise(s), longest first.
+
+    A suffix that starts inside the x-run of part j is (r, s[j+1:]), r <= s[j].
+    """
+    return [(r,) + s[j + 1:] for j in range(len(s)) for r in range(s[j], 0, -1)]
+
+
+def _fixed_polylogs(s: Composition, z: float, n: int) -> list[int]:
+    """2^(3P) times Li_u(z) truncated at m <= n, for every u in _suffixes(s).
+
+    Each summand z^m m^-r S_v(m) of u = (r, v) is an exact product of three
+    fixed-point factors, each one floor below its true value: the power
+    floor(2^P z^m), the table entry floor(2^P / m^r) and the strict inner
+    sum S_v(m) at 2^P.  One innermost-first pass over s builds the levels
+    S_v for its suffixes v, each from the one below by an exact cumulative
+    sum floored once per entry.  The horizon is walked in blocks of BLOCK
+    terms, carrying the exact cumulative sums from block to block, so a
+    block walk floors exactly as one pass would.  Sums are memoised per
+    (u, z, n), and tables, powers and levels for horizons of one block.
+    """
+    sums = {u: _SUMS.get((u, z, n)) for u in _suffixes(s)}
+    todo = {u: 0 for u, total in sums.items() if total is None}
+    if todo:
+        first = len(s) - max(map(len, todo))  # the outermost part a missing suffix starts in
+        keep = n <= BLOCK
+        zint = int(math.ldexp(z, P))
+        zlast = _ONE  # floor(2^P z^(lo-1))
+        carries = [0] * len(s)  # the exact cumulative sum below each level, at 2^(2P)
+        for lo in range(1, n + 1, BLOCK):
+            ms = range(lo, min(lo + BLOCK, n + 1))
+            tables = [[_ONE] * len(ms)]
+            for r in range(1, max(s) + 1):
+                tables.append(_kept(_TABLES, (n, r), keep, lambda: [t // m for t, m in zip(tables[-1], ms)]))
+            zpow = _kept(_ZPOWERS, (z, n), keep, lambda: _powers(zint, zlast, len(ms)))
+            zlast = zpow[-1]
+            level = tables[0]  # S_() = 1
+            for j in range(len(s) - 1, first - 1, -1):
+                wanted = [u for u in ((r,) + s[j + 1:] for r in range(1, s[j] + 1)) if u in todo]
+                if wanted:
+                    weighted = list(map(mul, zpow, level))
+                    for u in wanted:
+                        todo[u] += sum(map(mul, tables[u[0]], weighted))
+                if j > first:
+                    key = (s[j:], n)
+                    below = level
+                    level = _LEVELS.get(key)
+                    if level is None:
+                        running = list(accumulate(map(mul, tables[s[j]], below), initial=carries[j]))
+                        carries[j] = running.pop()
+                        level = [c >> P for c in running]
+                        if keep:
+                            _LEVELS[key] = level
+        sums.update(todo)
+        _SUMS.update(((u, z, n), total) for u, total in todo.items())
+    return list(sums.values())
+
+
+def _powers(zint: int, last: int, count: int) -> list[int]:
+    """The ``count`` powers after ``last``, each floor(power * zint / 2^P)."""
+    out = []
+    for _ in range(count):
+        last = last * zint >> P
+        out.append(last)
+    return out
+
+
+def _kept(cache: dict, key, keep: bool, build):
+    """cache[key], built on a miss and stored only when ``keep``."""
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if keep:
+            cache[key] = value
+    return value
+
+
+def _suffix_polylogs(
+    s: Composition, z: float, tail: float, cap: int
+) -> list[tuple[float, float]]:
+    """(value, error bound) of Li_u(z) for every nonempty suffix u of binarise(s).
+
+    Entry p is the suffix that starts at letter p.  Each value is one
+    correctly rounded division of the fixed-point sum; its bound adds the
+    tail, the fixed-point roundoff and the rounding to float.
+    """
+    n, tail_bound = _horizon(s, z, tail, cap)
+    out = []
+    for u, total in zip(_suffixes(s), _fixed_polylogs(s, z, n)):
+        value = total / _SCALE3
+        out.append((value, tail_bound + _roundoff(len(u), z, n) + _F64_U * value))
+    return out
 
 
 # -- multiple zeta values ---------------------------------------------------------------
@@ -278,7 +379,9 @@ def eval_mzv(
 
 
 def clear_mzv_cache():
-    _MZV_CACHE.clear()
+    """Empty the MZV cache and the kernel's tables and memos."""
+    for memo in (_MZV_CACHE, _TABLES, _ZPOWERS, _LEVELS, _SUMS):
+        memo.clear()
 
 
 # -- combinations ----------------------------------------------------------------
@@ -348,82 +451,6 @@ def azv(
 ) -> MzvEval:
     """Arborified zeta value: reduce, then evaluate."""
     return eval_combination(reduce_azv(forest_or_comb, flavor), precision, max_n)
-
-
-def _falling(p: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= p - i
-    return out
-
-
-def _integral_tail(b: int, p: int, n: int) -> float:
-    """Integral from n to infinity of x^(-b) ln(x)^p dx, exact, for b > 1."""
-    ln = math.log(n)
-    return sum(
-        _falling(p, j) / (b - 1) ** (j + 1) * n ** (1 - b) * ln ** (p - j) for j in range(p + 1)
-    )
-
-
-def _em_tail_upper(b: int, p: int, n: int) -> float:
-    """Upper bound on sum_{m >= n} m^(-b) ln(m)^p, b > 1, by Euler-Maclaurin."""
-    ln = math.log(n)
-    est = _integral_tail(b, p, n) + 0.5 * n ** (-b) * ln**p
-    est -= n ** (-b - 1) * (p * ln ** (p - 1) - b * ln**p) / 12.0
-    err = (
-        b * (b + 1) * _integral_tail(b + 2, p, n)
-        + (p * (2 * b + 1) * _integral_tail(b + 2, p - 1, n) if p else 0.0)
-        + (p * (p - 1) * _integral_tail(b + 2, p - 2, n) if p >= 2 else 0.0)
-    ) / 12.0
-    return abs(est) + err
-
-
-def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> MzvEval:
-    """Direct nested summation over the tree structure, truncated at ``horizon``.
-
-    Child variables run strictly below (stuffle) or up to (star) their parent.
-    The coarse tail bound majorizes the inner levels by harmonic-log growth;
-    this is the desk-scale oracle against the reduction pipeline, so it never
-    touches the flattening machinery.
-    """
-    if flavor not in ("stuffle", "star"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    star = flavor == "star"
-    np, _ = _long_double()
-    ns = np.arange(1, horizon + 1, dtype=np.longdouble)
-
-    def tree_array(tree):
-        out = ns ** (-tree.decoration)
-        for child in tree.children:
-            prefix = np.cumsum(tree_array(child))
-            if not star:
-                prefix = np.concatenate((np.zeros(1, dtype=np.longdouble), prefix[:-1]))
-            out = out * prefix
-        return out
-
-    def log_tail(exponent: int, vertices: int, start: int) -> float:
-        # sum_{n >= start} n^-exponent (1+ln n)^(vertices-1), via binomial expansion
-        p = vertices - 1
-        total = 0.0
-        for j in range(p + 1):
-            total += math.comb(p, j) * _em_tail_upper(exponent, j, start)
-        return total
-
-    values = []
-    tail_bounds = []
-    full_bounds = []
-    for tree in forest.trees:
-        arr = tree_array(tree)
-        values.append(float(arr.sum()))
-        tail_bounds.append(log_tail(tree.decoration, tree.vertex_count, horizon + 1))
-        full_bounds.append(1.0 + log_tail(tree.decoration, tree.vertex_count, 2))
-    value = math.prod(values)
-    err = 0.0
-    for i, tail in enumerate(tail_bounds):
-        err += tail * math.prod(
-            full_bounds[j] for j in range(len(values)) if j != i
-        )
-    return MzvEval(value, err, (), "star" if star else "strict")
 
 
 def star_to_strict(s) -> MzvCombination:

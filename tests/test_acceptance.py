@@ -81,7 +81,7 @@ EXACT_FAMILIES_AT_6 = [
     ("rota-baxter", "tree-shuffle morphism on nonstrict-sum [816 instances]"),
     ("rota-baxter", "tree-shuffle morphism on integration [816 instances]"),
     ("star-reduction", "merge expansion of (2,1,1) [1 instances]"),
-    ("hoffman-words", "divergent binary words cancel in the regularisation combination [31] [31 instances]"),
+    ("hoffman-words", "divergent binary words cancel in the regularisation combination [31 instances]"),
     ("hoffman-trees", "tree-level regularisation difference is convergent [325 instances]"),
     ("hoffman-trees", "word-level discrepancy keeps divergent words exactly off single ladders [325 instances]"),
     ("hoffman-trees", "divergent basis forests cancel exactly in the 2[1,1] defect [1 instances]"),

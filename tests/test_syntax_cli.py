@@ -145,6 +145,7 @@ def call(argv):
 report = {"import": loaded()}
 report["calls"] = [call(argv) for argv, _ in json.loads(sys.argv[1])]
 report["eval"] = call(["eval", "2 2", "--json"])
+report["polylog"] = call(["polylog", "(2,1)", "--z", "0.9", "--json"])
 print(json.dumps(report))
 """
 
@@ -303,10 +304,18 @@ class TestCli:
         for (argv, code), (got_code, _, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
             assert (got_code, loaded) == (code, []), argv
         code, out, loaded = report["eval"]
-        assert code == 0
-        assert loaded == ["numpy"]
+        assert (code, loaded) == (0, [])
         ev = json.loads(out)
         assert abs(ev["value"] - math.pi**4 / 36) <= ev["abs_error"] <= 1e-8
+        code, out, loaded = report["polylog"]
+        assert (code, loaded) == (0, [])
+        # Li_(2,1)(z) = sum_m z^m H_(m-1) / m^2; the terms past m = 400 add under 1e-18 at z = 0.9.
+        harmonic = [0.0]
+        for m in range(1, 400):
+            harmonic.append(harmonic[-1] + 1 / m)
+        want = math.fsum(0.9**m * harmonic[m - 1] / m**2 for m in range(1, 401))
+        ev = json.loads(out)
+        assert abs(ev["value"] - want) <= ev["abs_error"] + 1e-15
 
     def test_unknown_suite_skips_numpy(self):
         # Its own fresh interpreter, so the guard above still sees eval run without the suites.

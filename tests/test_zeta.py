@@ -1,18 +1,22 @@
 import math
+from functools import cache
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from arbozeta.catalog import compositions_of, forests_up_to
+from arbozeta import zeta
+from arbozeta.catalog import compositions_of, convergent_compositions_up_to, forests_up_to
 from arbozeta.errors import DivergentIndex, DomainError, NonConvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class, ConvergenceClass
 from arbozeta.lincomb import LinComb
+from arbozeta.suites import brute_force_azv
 from arbozeta.trees import Forest, Tree, b_plus, ladder, leaf, tree_forest
 from arbozeta.zeta import (
     MzvCombination,
+    MZV_TAIL,
     azv,
-    brute_force_azv,
+    clear_mzv_cache,
     eval_arborified_polylog,
     eval_combination,
     eval_mzv,
@@ -92,8 +96,6 @@ class TestEvalMzv:
         assert abs(ev.value - duality) <= ev.abs_error <= 1e-11
 
     def test_precision_unreachable(self):
-        from arbozeta.zeta import clear_mzv_cache
-
         clear_mzv_cache()
         with pytest.raises(PrecisionUnreachable):
             eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
@@ -103,6 +105,78 @@ class TestEvalMzv:
         coarse = eval_mzv((3, 2), "strict", 1e-6)
         assert coarse.abs_error <= 1e-12
         assert coarse.value == fine.value
+
+
+@cache
+def _exact_level(v, n):
+    """S_v(m) = sum_{m > m_1 > ...} prod m_i^-v_i for m = 1..n, in mpmath at 50 digits."""
+    with mp.workdps(50):
+        if not v:
+            return (mp.mpf(1),) * n
+        below = _exact_level(v[1:], n)
+        out, running = [], mp.mpf(0)
+        for m in range(1, n + 1):
+            out.append(running)
+            running += below[m - 1] / mp.mpf(m) ** v[0]
+        return tuple(out)
+
+
+@cache
+def _exact_weights(r, z, n):
+    """z^m / m^r for m = 1..n, in mpmath at 50 digits."""
+    with mp.workdps(50):
+        return tuple(mp.mpf(z) ** m / mp.mpf(m) ** r for m in range(1, n + 1))
+
+
+def _roundoff_gaps(s, z, n):
+    """(suffix, exact - kernel, roundoff bound) for every suffix of binarise(s) at horizon n."""
+    with mp.workdps(50):
+        for u, fixed in zip(zeta._suffixes(s), zeta._fixed_polylogs(s, z, n)):
+            exact = mp.fsum(map(mp.fmul, _exact_weights(u[0], z, n), _exact_level(u[1:], n)))
+            yield u, exact - mp.mpf(fixed) / mp.mpf(2) ** (3 * zeta.P), zeta._roundoff(len(u), z, n)
+
+
+class TestFixedPointKernel:
+    """The fixed-point sums against the same truncated sums in mpmath at 50 digits.
+
+    Every floor rounds down, so the kernel sits below the exact truncated sum,
+    by no more than the roundoff term derived in the zeta docstring.
+    """
+
+    FLOOR = 1e-45  # the mpmath comparison's own rounding, far below any bound
+
+    @pytest.mark.parametrize("weight", range(2, 9))
+    def test_mzv_suffixes_at_half(self, weight):
+        cap = zeta.summation_cap(None)
+        for s in compositions_of(weight, first_min=2):
+            n, _ = zeta._horizon(s, 0.5, MZV_TAIL, cap)
+            for u, gap, bound in _roundoff_gaps(s, 0.5, n):
+                assert -self.FLOOR <= gap <= bound, (s, u)
+
+    @pytest.mark.parametrize("z", [0.25, 0.5, 0.9, 0.99])
+    def test_polylogs(self, z):
+        for s in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 1, 1), (3, 1, 2)]:
+            n, _ = zeta._horizon(s, z, 0.5e-10, zeta.summation_cap(None))
+            for u, gap, bound in _roundoff_gaps(s, z, n):
+                assert -self.FLOOR <= gap <= bound, (s, z, u)
+
+    def test_block_walk_floors_as_one_pass(self, monkeypatch):
+        s, z, n = (3, 1, 2), 0.9, 200
+        clear_mzv_cache()
+        whole = zeta._fixed_polylogs(s, z, n)
+        clear_mzv_cache()
+        monkeypatch.setattr(zeta, "BLOCK", 16)  # 12 full blocks and a partial one
+        assert zeta._fixed_polylogs(s, z, n) == whole
+        assert not (zeta._TABLES or zeta._ZPOWERS or zeta._LEVELS)
+        clear_mzv_cache()
+
+    def test_clear_empties_kernel_memos(self):
+        eval_mzv((3, 1, 2), "star", 1e-10)
+        eval_polylog((2, 1), 0.9, 1e-10)
+        memos = (zeta._MZV_CACHE, zeta._TABLES, zeta._ZPOWERS, zeta._LEVELS, zeta._SUMS)
+        assert all(memos)
+        clear_mzv_cache()
+        assert not any(memos)
 
 
 class TestIndependentOracles:
