@@ -78,10 +78,11 @@ _ONE = 1 << P
 _SCALE3 = 1 << 3 * P  # scale of a sum of products of three fixed-point factors
 _F64_U = 2.0**-53  # unit roundoff of float
 
-# The kernel's memos, emptied by clear_mzv_cache.  Tables, powers and levels
-# are kept only for horizons of one block.
+# The kernel's memos, emptied by clear_mzv_cache.  Tables, powers, weights
+# and levels are kept only for horizons of one block.
 _TABLES: dict[tuple[int, int], list[int]] = {}  # (n, r): floor(2^P / m^r), m = 1..n
 _ZPOWERS: dict[tuple[float, int], list[int]] = {}  # (z, n): floor(2^P z^m), m = 1..n
+_WEIGHTS: dict[tuple[int, float, int], list[int]] = {}  # (r, z, n): power * table entry, m = 1..n
 _LEVELS: dict[tuple[Composition, int], list[int]] = {}  # (v, n): S_v(m) at 2^P, m = 1..n
 _SUMS: dict[tuple[Composition, float, int], int] = {}  # (u, z, n): see _fixed_polylogs
 
@@ -214,18 +215,20 @@ def _suffixes(s: Composition) -> list[Composition]:
     return [(r,) + s[j + 1:] for j in range(len(s)) for r in range(s[j], 0, -1)]
 
 
-def _fixed_polylogs(s: Composition, z: float, n: int) -> list[int]:
-    """2^(3P) times Li_u(z) truncated at m <= n, for every u in _suffixes(s).
+def _fixed_polylogs(s: Composition, z: float, n: int) -> dict[Composition, int]:
+    """2^(3P) times Li_u(z) truncated at m <= n, for every u in _suffixes(s), in order.
 
     Each summand z^m m^-r S_v(m) of u = (r, v) is an exact product of three
     fixed-point factors, each one floor below its true value: the power
     floor(2^P z^m), the table entry floor(2^P / m^r) and the strict inner
-    sum S_v(m) at 2^P.  One innermost-first pass over s builds the levels
-    S_v for its suffixes v, each from the one below by an exact cumulative
-    sum floored once per entry.  The horizon is walked in blocks of BLOCK
-    terms, carrying the exact cumulative sums from block to block, so a
-    block walk floors exactly as one pass would.  Sums are memoised per
-    (u, z, n), and tables, powers and levels for horizons of one block.
+    sum S_v(m) at 2^P.  The first two are multiplied once per (r, z, n)
+    into a weight table, so a value is one dot product.  One innermost-first
+    pass over s builds the levels S_v for its suffixes v, each from the one
+    below by an exact cumulative sum floored once per entry.  The horizon is
+    walked in blocks of BLOCK terms, carrying the exact cumulative sums from
+    block to block, so a block walk floors exactly as one pass would.  Sums
+    are memoised per (u, z, n), and tables, powers, weights and levels for
+    horizons of one block.
     """
     sums = {u: _SUMS.get((u, z, n)) for u in _suffixes(s)}
     todo = {u: 0 for u, total in sums.items() if total is None}
@@ -244,11 +247,11 @@ def _fixed_polylogs(s: Composition, z: float, n: int) -> list[int]:
             zlast = zpow[-1]
             level = tables[0]  # S_() = 1
             for j in range(len(s) - 1, first - 1, -1):
-                wanted = [u for u in ((r,) + s[j + 1:] for r in range(1, s[j] + 1)) if u in todo]
-                if wanted:
-                    weighted = list(map(mul, zpow, level))
-                    for u in wanted:
-                        todo[u] += sum(map(mul, tables[u[0]], weighted))
+                for r in range(1, s[j] + 1):
+                    u = (r,) + s[j + 1:]
+                    if u in todo:
+                        weights = _kept(_WEIGHTS, (r, z, n), keep, lambda: list(map(mul, tables[r], zpow)))
+                        todo[u] += sum(map(mul, weights, level))
                 if j > first:
                     key = (s[j:], n)
                     below = level
@@ -261,7 +264,7 @@ def _fixed_polylogs(s: Composition, z: float, n: int) -> list[int]:
                             _LEVELS[key] = level
         sums.update(todo)
         _SUMS.update(((u, z, n), total) for u, total in todo.items())
-    return list(sums.values())
+    return sums
 
 
 def _powers(zint: int, last: int, count: int) -> list[int]:
@@ -293,11 +296,9 @@ def _suffix_polylogs(
     tail, the fixed-point roundoff and the rounding to float.
     """
     n, tail_bound = _horizon(s, z, tail, cap)
-    out = []
-    for u, total in zip(_suffixes(s), _fixed_polylogs(s, z, n)):
-        value = total / _SCALE3
-        out.append((value, tail_bound + _roundoff(len(u), z, n) + _F64_U * value))
-    return out
+    bounds = [tail_bound + _roundoff(depth, z, n) for depth in range(len(s) + 1)]
+    values = [(len(u), total / _SCALE3) for u, total in _fixed_polylogs(s, z, n).items()]
+    return [(value, bounds[depth] + _F64_U * value) for depth, value in values]
 
 
 # -- multiple zeta values ---------------------------------------------------------------
@@ -380,7 +381,7 @@ def eval_mzv(
 
 def clear_mzv_cache():
     """Empty the MZV cache and the kernel's tables and memos."""
-    for memo in (_MZV_CACHE, _TABLES, _ZPOWERS, _LEVELS, _SUMS):
+    for memo in (_MZV_CACHE, _TABLES, _ZPOWERS, _WEIGHTS, _LEVELS, _SUMS):
         memo.clear()
 
 

@@ -131,7 +131,7 @@ def _exact_weights(r, z, n):
 def _roundoff_gaps(s, z, n):
     """(suffix, exact - kernel, roundoff bound) for every suffix of binarise(s) at horizon n."""
     with mp.workdps(50):
-        for u, fixed in zip(zeta._suffixes(s), zeta._fixed_polylogs(s, z, n)):
+        for u, fixed in zeta._fixed_polylogs(s, z, n).items():
             exact = mp.fsum(map(mp.fmul, _exact_weights(u[0], z, n), _exact_level(u[1:], n)))
             yield u, exact - mp.mpf(fixed) / mp.mpf(2) ** (3 * zeta.P), zeta._roundoff(len(u), z, n)
 
@@ -167,13 +167,13 @@ class TestFixedPointKernel:
         clear_mzv_cache()
         monkeypatch.setattr(zeta, "BLOCK", 16)  # 12 full blocks and a partial one
         assert zeta._fixed_polylogs(s, z, n) == whole
-        assert not (zeta._TABLES or zeta._ZPOWERS or zeta._LEVELS)
+        assert not (zeta._TABLES or zeta._ZPOWERS or zeta._WEIGHTS or zeta._LEVELS)
         clear_mzv_cache()
 
     def test_clear_empties_kernel_memos(self):
         eval_mzv((3, 1, 2), "star", 1e-10)
         eval_polylog((2, 1), 0.9, 1e-10)
-        memos = (zeta._MZV_CACHE, zeta._TABLES, zeta._ZPOWERS, zeta._LEVELS, zeta._SUMS)
+        memos = (zeta._MZV_CACHE, zeta._TABLES, zeta._ZPOWERS, zeta._WEIGHTS, zeta._LEVELS, zeta._SUMS)
         assert all(memos)
         clear_mzv_cache()
         assert not any(memos)
