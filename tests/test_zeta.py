@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arbozeta import zeta
-from arbozeta.catalog import compositions_of, convergent_compositions_up_to, forests_up_to
+from arbozeta.catalog import compositions_of, forests_up_to
 from arbozeta.errors import DivergentIndex, DomainError, NonConvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class, ConvergenceClass
 from arbozeta.lincomb import LinComb
