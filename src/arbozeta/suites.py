@@ -2,10 +2,17 @@
 desk scale with pass/fail reporting.
 
 Each suite returns a list of report entries
-``{suite, instance, lhs, rhs, residual, tolerance, pass}``.  Exhaustive
-symbolic families are aggregated into one entry per law (the instance text
-carries the count and the first counterexample on failure); numeric checks
-report one entry per evaluated instance.
+``{suite, instance, lhs, rhs, residual, tolerance, pass}`` of three kinds:
+
+- an exact family (``_family``) checks one law on every case; lhs and rhs
+  read ``exact``, the residual counts the failing cases and the instance
+  text the cases;
+- a numeric family checks one law on every case in floats; its residual is
+  either the number of failing cases (``_tally``) or the worst gap, held
+  against a tolerance (``_worst_gap``);
+- a numeric check (``_numeric``) compares one evaluated lhs with its rhs.
+
+A family that fails names its first failing case in its instance text.
 """
 from __future__ import annotations
 
@@ -66,6 +73,7 @@ from .words import (
 from .zeta import (
     MzvCombination,
     MzvEval,
+    azv,
     eval_arborified_polylog,
     eval_combination,
     eval_mzv,
@@ -93,7 +101,9 @@ def _entry(suite, instance, lhs, rhs, residual, tolerance):
 
 
 def _describe(case) -> str:
-    """Forests and words in the input syntax, tuples holding them joined by ``|``."""
+    """Forests, trees and words in the input syntax, tuples holding them joined by ``|``."""
+    if isinstance(case, Tree):
+        return syntax.format_tree(case)
     if isinstance(case, (Forest, Word)):
         return syntax.format_basis(case)
     if isinstance(case, tuple) and any(isinstance(part, (Forest, Word)) for part in case):
@@ -122,6 +132,28 @@ def _family(suite, law, cases, holds, describe=_describe):
     failing = [case for case in cases if not holds(case)]
     instance = f"{law} [{len(cases)} instances]" + _first_failure(failing, describe)
     return _entry(suite, instance, "exact", "exact", float(len(failing)), 0.0)
+
+
+def _tally(suite, law, cases, fails, lhs=0.0, describe=_describe):
+    """One report entry for a numeric family whose residual is its number of failing cases.
+
+    ``fails(case)`` decides each case; the instance text names the first
+    failing case through ``describe``.
+    """
+    failing = [case for case in cases if fails(case)]
+    return _entry(suite, law + _first_failure(failing, describe), lhs, 0.0, float(len(failing)), 0.0)
+
+
+def _worst_gap(suite, law, gaps, tolerance, describe=_describe):
+    """One report entry for a numeric family whose residual is its worst gap.
+
+    ``gaps`` maps each case to its gap; ``law`` is formatted with the worst
+    gap as ``worst``, and the instance text names the first case whose gap
+    exceeds ``tolerance`` through ``describe``.
+    """
+    worst = max(gaps.values(), default=0.0)
+    failing = [case for case, gap in gaps.items() if gap > tolerance]
+    return _entry(suite, law.format(worst=worst) + _first_failure(failing, describe), worst, 0.0, worst, tolerance)
 
 
 def _pairs(items, size, limit):
@@ -533,29 +565,23 @@ def suite_mzv_oracles(bound: int, precision: float) -> list[dict]:
 
 
 def suite_reduction_vs_series(bound: int, precision: float) -> list[dict]:
-    out = []
-    max_vertices = min(4, bound - 2)
     horizon = 2000
-    forests = _convergent_forests(max_vertices)
-    for flavor in ("stuffle", "star"):
-        failing = []
-        for forest in forests:
-            brute = brute_force_azv(forest, horizon, flavor)
-            reduced = eval_combination(reduce_azv(forest, flavor), precision)
-            if abs(brute.value - reduced.value) > brute.abs_error + reduced.abs_error:
-                failing.append(forest)
-        out.append(
-            _entry(
-                "reduction-vs-series",
-                f"{flavor}: nested summation at N={horizon} within its tail bound [{len(forests)} forests]"
-                + _first_failure(failing),
-                0.0,
-                0.0,
-                float(len(failing)),
-                0.0,
-            )
+    forests = _convergent_forests(min(4, bound - 2))
+
+    def outside_bound(forest, flavor):
+        brute = brute_force_azv(forest, horizon, flavor)
+        reduced = azv(forest, flavor, precision)
+        return abs(brute.value - reduced.value) > brute.abs_error + reduced.abs_error
+
+    return [
+        _tally(
+            "reduction-vs-series",
+            f"{flavor}: nested summation at N={horizon} within its tail bound [{len(forests)} forests]",
+            forests,
+            partial(outside_bound, flavor=flavor),
         )
-    return out
+        for flavor in ("stuffle", "star")
+    ]
 
 
 def suite_morphisms(bound: int, precision: float) -> list[dict]:
@@ -588,11 +614,8 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
     for i in range(10):
         f1 = random_convergent_forest(rng, rng.randint(2, max_weight - 2))
         f2 = random_convergent_forest(rng, rng.randint(2, max_weight - f1.weight()))
-        both = eval_combination(reduce_azv(concat_forests(f1, f2), "stuffle"), precision)
-        prod = (
-            eval_combination(reduce_azv(f1, "stuffle"), precision).value
-            * eval_combination(reduce_azv(f2, "stuffle"), precision).value
-        )
+        both = azv(concat_forests(f1, f2), "stuffle", precision)
+        prod = azv(f1, "stuffle", precision).value * azv(f2, "stuffle", precision).value
         out.append(
             _numeric(
                 "morphisms",
@@ -615,11 +638,8 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
         else:
             a, b = f1, f2
         sh = shuffle_forests_basis(a, b, lam)
-        lhs = eval_combination(reduce_azv(sh, flavor), precision)
-        rhs = (
-            eval_combination(reduce_azv(a, flavor), precision).value
-            * eval_combination(reduce_azv(b, flavor), precision).value
-        )
+        lhs = azv(sh, flavor, precision)
+        rhs = azv(a, flavor, precision).value * azv(b, flavor, precision).value
         out.append(
             _numeric(
                 "morphisms",
@@ -671,7 +691,7 @@ def suite_associator_kernel(bound: int, precision: float) -> list[dict]:
             if flavor == "shuffle":
                 forests = [binarise_forest(f) for f in forests]
             comb = associator(*forests, lam)
-            ev = eval_combination(reduce_azv(comb, flavor), precision)
+            ev = azv(comb, flavor, precision)
             out.append(
                 _numeric(
                     "associator-kernel",
@@ -686,69 +706,43 @@ def suite_associator_kernel(bound: int, precision: float) -> list[dict]:
 
 
 def suite_theorem5(bound: int, precision: float) -> list[dict]:
-    out = []
-    max_vertices = min(5, bound - 1)
     strict_gap = 1e-6
-    checked = 0
-    ladder_fails = []
-    branch_fails = []
-    order_fails = []
-    worst_ladder = 0.0
-    min_branch_gap = float("inf")
-    for v in range(1, max_vertices + 1):
-        for tree in trees_with_vertices(v, (1, 2, 3)):
-            if tree.decoration < 2:
-                continue
-            forest = tree_forest(tree)
-            checked += 1
-            stuffle_val = eval_combination(reduce_azv(forest, "stuffle"), precision / 4)
-            shuffle_val = eval_combination(
-                reduce_azv(binarise_forest(forest), "shuffle"), precision / 4
-            )
-            gap = stuffle_val.value - shuffle_val.value
-            name = syntax.format_tree(tree)
-            if gap < -precision:
-                order_fails.append(name)
-            if tree.is_ladder():
-                worst_ladder = max(worst_ladder, abs(gap))
-                if abs(gap) > precision:
-                    ladder_fails.append(name)
-            else:
-                min_branch_gap = min(min_branch_gap, gap)
-                if gap <= strict_gap:
-                    branch_fails.append(name)
-    out.append(
-        _entry(
+    trees = [
+        tree
+        for v in range(1, min(5, bound - 1) + 1)
+        for tree in trees_with_vertices(v, (1, 2, 3))
+        if tree.decoration >= 2
+    ]
+    gaps = {
+        tree: azv(tree_forest(tree), "stuffle", precision / 4).value
+        - azv(binarise_forest(tree_forest(tree)), "shuffle", precision / 4).value
+        for tree in trees
+    }
+    ladders = [tree for tree in trees if tree.is_ladder()]
+    branching = [tree for tree in trees if not tree.is_ladder()]
+    worst_ladder = max((abs(gaps[tree]) for tree in ladders), default=0.0)
+    min_branch_gap = min((gaps[tree] for tree in branching), default=float("inf"))
+    return [
+        _tally(
             "theorem5",
-            f"shuffle side never exceeds stuffle side [{checked} trees]" + _first_failure(order_fails),
-            0.0,
-            0.0,
-            float(len(order_fails)),
-            0.0,
-        )
-    )
-    out.append(
-        _entry(
+            f"shuffle side never exceeds stuffle side [{len(trees)} trees]",
+            trees,
+            lambda tree: gaps[tree] < -precision,
+        ),
+        _tally(
             "theorem5",
-            f"equality on ladder trees (worst |gap| = {worst_ladder:.3g})" + _first_failure(ladder_fails),
+            f"equality on ladder trees (worst |gap| = {worst_ladder:.3g})",
+            ladders,
+            lambda tree: abs(gaps[tree]) > precision,
             worst_ladder,
-            0.0,
-            float(len(ladder_fails)),
-            0.0,
-        )
-    )
-    out.append(
-        _entry(
+        ),
+        _tally(
             "theorem5",
-            f"strict gap > {strict_gap:g} for branching trees (smallest gap = {min_branch_gap:.3g})"
-            + _first_failure(branch_fails),
-            0.0,
-            0.0,
-            float(len(branch_fails)),
-            0.0,
-        )
-    )
-    return out
+            f"strict gap > {strict_gap:g} for branching trees (smallest gap = {min_branch_gap:.3g})",
+            branching,
+            lambda tree: gaps[tree] <= strict_gap,
+        ),
+    ]
 
 
 def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
@@ -760,7 +754,6 @@ def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
         - shuffle_words(LinComb.of(y), LinComb.of(binarise(comp)), 0)
         for comp in convergent_compositions_up_to(min(6, bound))
     }
-    checked = len(differences)
 
     def convergent(comp):
         return all(is_convergent_word(t) for t in differences[comp])
@@ -770,7 +763,6 @@ def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
         for comp, difference in differences.items()
         if convergent(comp)
     }
-    worst = max(residuals.values(), default=0.0)
     return [
         _family(
             "hoffman-words",
@@ -778,13 +770,11 @@ def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
             differences,
             convergent,
         ),
-        _entry(
+        _worst_gap(
             "hoffman-words",
-            f"regularisation combination lies in the shuffle kernel [worst residual {worst:.3g} over {checked}]"
-            + _first_failure([comp for comp, residual in residuals.items() if residual > tol]),
-            worst,
-            0.0,
-            worst,
+            "regularisation combination lies in the shuffle kernel"
+            f" [worst residual {{worst:.3g}} over {len(differences)}]",
+            residuals,
             tol,
         ),
     ]
@@ -893,8 +883,8 @@ def suite_worked_identity(bound: int, precision: float) -> list[dict]:
     pair = Forest((leaf(2), leaf(2)))
     left = shuffle_forests(shuffle_forests_basis(pair, two, 1), LinComb.of(two), 1)
     right = shuffle_forests(LinComb.of(pair), shuffle_forests_basis(two, two, 1), 1)
-    ev_left = eval_combination(reduce_azv(left, "stuffle"), precision)
-    ev_right = eval_combination(reduce_azv(right, "stuffle"), precision)
+    ev_left = azv(left, "stuffle", precision)
+    ev_right = azv(right, "stuffle", precision)
     out.append(
         _numeric(
             "worked-identity",
@@ -919,7 +909,7 @@ def suite_worked_identity(bound: int, precision: float) -> list[dict]:
         )
     )
     assoc = associator(pair, two, two, 1)
-    ev_assoc = eval_combination(reduce_azv(assoc, "stuffle"), precision)
+    ev_assoc = azv(assoc, "stuffle", precision)
     out.append(
         _numeric(
             "worked-identity",
@@ -1063,15 +1053,11 @@ def suite_polylog(bound: int, precision: float) -> list[dict]:
         for forest in forests_up_to(max_vertices, ("x", "y"), include_empty=False)
         if convergence_class(forest, Alphabet.XY).is_semiconvergent
     }
-    worst = max(gaps.values(), default=0.0)
     out.append(
-        _entry(
+        _worst_gap(
             "polylog",
-            f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {worst:.3g}]"
-            + _first_failure([f for f, gap in gaps.items() if gap > precision]),
-            worst,
-            0.0,
-            worst,
+            f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {{worst:.3g}}]",
+            gaps,
             precision,
         )
     )

@@ -91,7 +91,10 @@ def summation_cap(max_n: int | None = None) -> int:
     """Largest polylog horizon allowed: ``max_n``, else ``ARBOZETA_MAX_N``."""
     if max_n is None:
         env = os.environ.get("ARBOZETA_MAX_N")
-        max_n = int(env) if env else DEFAULT_MAX_N
+        try:
+            max_n = int(env) if env else DEFAULT_MAX_N
+        except ValueError:
+            raise DomainError(f"ARBOZETA_MAX_N must be a positive integer, got {env!r}") from None
     if max_n < 1:
         raise DomainError(f"summation cap must be positive, got {max_n}")
     return max_n
@@ -344,12 +347,15 @@ def _combine(terms) -> tuple[float, float]:
     return total, err
 
 
-_MZV_CACHE: dict[tuple[str, Composition], MzvEval] = {}
+_MZV_CACHE: dict[tuple[str, Composition, int], MzvEval] = {}
 
 
 def _mzv(s: Composition, flavor: str, cap: int) -> MzvEval:
-    """zeta(s) or zeta*(s) at the kernel's floor, through the cache."""
-    key = (flavor, s)
+    """zeta(s) or zeta*(s) at the kernel's floor, through the cache.
+
+    The key holds the horizon cap, because a lower cap can leave a larger bound.
+    """
+    key = (flavor, s, cap)
     ev = _MZV_CACHE.get(key)
     if ev is None:
         if flavor == "strict":

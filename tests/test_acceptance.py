@@ -7,6 +7,7 @@ corrected statements asserted alongside.  Everything else runs at its stated
 tolerance and budget.
 """
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -86,6 +87,19 @@ EXACT_FAMILIES_AT_6 = [
     ("hoffman-trees", "word-level discrepancy keeps divergent words exactly off single ladders [325 instances]"),
     ("hoffman-trees", "divergent basis forests cancel exactly in the 2[1,1] defect [1 instances]"),
     ("hoffman-trees", "2[1,1] defect reduces to 2z(3,1,1)+z(2,1,2)+2z(2,2,1)-2z(2,1,1,1) [1 instances]"),
+]
+
+# The aggregated numeric families of the same run, in report order.  Their
+# texts also carry floats, so the patterns pin everything else: the case
+# counts, like those above, are pure combinatorics.
+NUMERIC_FAMILIES_AT_6 = [
+    ("reduction-vs-series", r"stuffle: nested summation at N=2000 within its tail bound \[326 forests\]"),
+    ("reduction-vs-series", r"star: nested summation at N=2000 within its tail bound \[326 forests\]"),
+    ("theorem5", r"shuffle side never exceeds stuffle side \[1192 trees\]"),
+    ("theorem5", r"equality on ladder trees \(worst \|gap\| = \S+\)"),
+    ("theorem5", r"strict gap > 1e-06 for branching trees \(smallest gap = \S+\)"),
+    ("hoffman-words", r"regularisation combination lies in the shuffle kernel \[worst residual \S+ over 31\]"),
+    ("polylog", r"arborified polylog matches the power-series oracle \[36 forests, worst \S+\]"),
 ]
 
 
@@ -300,3 +314,9 @@ def test_check_all_entry_point():
     assert not bad, f"{len(bad)} entries failed; first: {bad[0]['instance']}"
     exact = [(e["suite"], e["instance"]) for e in entries if e["lhs"] == "exact"]
     assert exact == EXACT_FAMILIES_AT_6
+    numeric = [(e["suite"], e["instance"]) for e in entries if e["lhs"] != "exact"]
+    positions = [
+        next((i for i, (s, text) in enumerate(numeric) if s == suite and re.fullmatch(pattern, text)), None)
+        for suite, pattern in NUMERIC_FAMILIES_AT_6
+    ]
+    assert None not in positions and positions == sorted(positions), positions

@@ -2,7 +2,7 @@ import pytest
 
 from arbozeta.errors import DomainError
 from arbozeta import syntax
-from arbozeta.suites import SUITES, _family, _pairs, _with_lambda, run_suite
+from arbozeta.suites import SUITES, _family, _pairs, _tally, _with_lambda, _worst_gap, run_suite
 from arbozeta.words import word
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
@@ -55,6 +55,49 @@ def test_family_counts_failures_and_names_the_first():
     assert passing["instance"] == "even numbers [2 instances]"
     assert passing["residual"] == 0.0 and passing["pass"] is True
     assert described == [5]
+
+
+def test_tally_counts_failures_and_names_the_first():
+    described = []
+
+    def describe(case):
+        described.append(case)
+        return f"n={case}"
+
+    entry = _tally("demo", "odd numbers fail [5 cases]", iter([2, 4, 5, 6, 7]), lambda n: n % 2, 0.5, describe)
+    assert entry["instance"] == "odd numbers fail [5 cases]; first failure: n=5"
+    assert (entry["lhs"], entry["rhs"], entry["tolerance"]) == (0.5, 0.0, 0.0)
+    assert entry["residual"] == 2.0
+    assert entry["pass"] is False
+    assert described == [5]
+
+    passing = _tally("demo", "odd numbers fail", [2, 4], lambda n: n % 2, describe=describe)
+    assert passing["instance"] == "odd numbers fail"
+    assert (passing["lhs"], passing["residual"], passing["pass"]) == (0.0, 0.0, True)
+    assert described == [5]
+
+
+def test_worst_gap_reports_the_worst_and_names_the_first_beyond_tolerance():
+    described = []
+
+    def describe(case):
+        described.append(case)
+        return f"case {case}"
+
+    gaps = {"a": 0.1, "b": 0.7, "c": 0.3, "d": 0.9}
+    entry = _worst_gap("demo", "gaps [worst {worst:.2g}]", gaps, 0.5, describe)
+    assert entry["instance"] == "gaps [worst 0.9]; first failure: case b"
+    assert (entry["lhs"], entry["rhs"], entry["residual"], entry["tolerance"]) == (0.9, 0.0, 0.9, 0.5)
+    assert entry["pass"] is False
+    assert described == ["b"]
+
+    passing = _worst_gap("demo", "gaps [worst {worst:.2g}]", {"a": 0.1, "c": 0.5}, 0.5, describe)
+    assert passing["instance"] == "gaps [worst 0.5]"
+    assert (passing["residual"], passing["pass"]) == (0.5, True)
+    empty = _worst_gap("demo", "gaps [worst {worst:.2g}]", {}, 0.5, describe)
+    assert empty["instance"] == "gaps [worst 0]"
+    assert (empty["residual"], empty["pass"]) == (0.0, True)
+    assert described == ["b"]
 
 
 def test_witness_text_of_words_forests_and_lambda():

@@ -100,6 +100,25 @@ class TestEvalMzv:
         with pytest.raises(PrecisionUnreachable):
             eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
 
+    @pytest.mark.parametrize("default_first", [True, False])
+    def test_cache_respects_the_cap(self, default_first):
+        """A value cached at the default cap is not reused under a lower cap, in either order."""
+
+        def at_default_cap():
+            assert eval_mzv((2, 1, 1), "strict", 1e-9).abs_error <= 1e-9
+            assert azv(ladder((2, 1, 1)), "stuffle", 1e-9).abs_error <= 1e-9
+
+        def at_cap_8():
+            with pytest.raises(PrecisionUnreachable):
+                eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
+            with pytest.raises(PrecisionUnreachable):
+                azv(ladder((2, 1, 1)), "stuffle", 1e-9, max_n=8)
+
+        clear_mzv_cache()
+        calls = (at_default_cap, at_cap_8) if default_first else (at_cap_8, at_default_cap)
+        for call in calls:
+            call()
+
     def test_cache_returns_finer(self):
         fine = eval_mzv((3, 2), "strict", 1e-12)
         coarse = eval_mzv((3, 2), "strict", 1e-6)
