@@ -18,7 +18,7 @@ def _multisets(trees_of_size, total: int) -> tuple[Forest, ...]:
     # The dict hashes every tree before its sort key is computed.  On Python
     # 3.11 that order of cached attributes lets Tree instance dicts share their
     # keys: sorting a list of pairs instead raised the peak RSS of
-    # `check --suite all` from 106 to 110 MB.
+    # `check --suite all` from about 106 to 111 MB.
     sizes = {tree: size for size in range(1, total + 1) for tree in trees_of_size(size)}
     pool = sorted(sizes.items(), key=lambda pair: pair[0].sort_key)
     out: list[Forest] = []
