@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, reduce
 from itertools import product as cartesian
 
-from .trees import Decoration, Forest, Tree, b_plus
+from .trees import Decoration, Forest, Tree, alphabet_of, merge_alphabets
 from .words import Word
 
 
@@ -15,17 +15,13 @@ def _multisets(trees_of_size, total: int) -> tuple[Forest, ...]:
     Each multiset comes once, its trees in sort-key order; the forests come in
     lexicographic order of their trees' positions in the sorted pool.
     """
-    # The dict hashes every tree before its sort key is computed.  On Python
-    # 3.11 that order of cached attributes lets Tree instance dicts share their
-    # keys: sorting a list of pairs instead raised the peak RSS of
-    # `check --suite all` from about 106 to 111 MB.
-    sizes = {tree: size for size in range(1, total + 1) for tree in trees_of_size(size)}
-    pool = sorted(sizes.items(), key=lambda pair: pair[0].sort_key)
+    sized = ((tree, size) for size in range(1, total + 1) for tree in trees_of_size(size))
+    pool = sorted(sized, key=lambda pair: pair[0].sort_key)
     out: list[Forest] = []
 
     def rec(remaining: int, start: int, acc: list[Tree]):
         if remaining == 0:
-            out.append(Forest(tuple(acc)))
+            out.append(Forest._unchecked(tuple(acc)))
             return
         for i in range(start, len(pool)):
             tree, size = pool[i]
@@ -41,7 +37,10 @@ def _multisets(trees_of_size, total: int) -> tuple[Forest, ...]:
 @cache
 def trees_with_vertices(v: int, decorations: tuple[Decoration, ...]) -> tuple[Tree, ...]:
     """All canonical decorated trees with exactly ``v`` vertices."""
-    return tuple(b_plus(dec, forest) for forest in forests_with_vertices(v - 1, decorations) for dec in decorations)
+    reduce(merge_alphabets, map(alphabet_of, decorations), None)  # the trees below are built unchecked
+    return tuple(
+        Tree._unchecked(dec, forest.trees) for forest in forests_with_vertices(v - 1, decorations) for dec in decorations
+    )
 
 
 @cache
@@ -59,7 +58,9 @@ def forests_up_to(v: int, decorations: tuple[Decoration, ...], include_empty: bo
 @cache
 def trees_with_weight(weight: int) -> tuple[Tree, ...]:
     """All positive-integer trees of the given additive weight."""
-    return tuple(b_plus(root, forest) for root in range(1, weight + 1) for forest in forests_with_weight(weight - root))
+    return tuple(
+        Tree._unchecked(root, forest.trees) for root in range(1, weight + 1) for forest in forests_with_weight(weight - root)
+    )
 
 
 @cache
@@ -106,7 +107,7 @@ def linear_extension_count(forest: Forest) -> int:
     total = 0
     for i, tree in enumerate(forest.trees):
         rest = forest.without(i)
-        promoted = Forest(rest.trees + tree.children)
+        promoted = Forest._unchecked(rest.trees + tree.children)
         total += linear_extension_count(promoted)
     return total
 

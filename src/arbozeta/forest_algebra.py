@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import NotInImage, SemigroupRequired
 from .lincomb import Coeff, LinComb, _as_comb
-from .trees import Alphabet, Forest, Tree, b_plus, concat_forests, merge_alphabets, tree_forest
+from .trees import Alphabet, Forest, Tree, concat_forests, merge_alphabets
 from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec
 
 ForestComb = LinComb[Forest]
@@ -165,14 +165,14 @@ def binarise_tree(tree: Tree) -> Tree:
     dec = tree.decoration
     if not isinstance(dec, int) or dec < 1:
         raise SemigroupRequired("branched binarisation needs positive-integer decorations")
-    node = b_plus("y", binarise_forest(Forest(tree.children)))
+    node = Tree._unchecked("y", tuple(binarise_tree(c) for c in tree.children))
     for _ in range(dec - 1):
-        node = b_plus("x", tree_forest(node))
+        node = Tree._unchecked("x", (node,))
     return node
 
 
 def binarise_forest(forest: Forest) -> Forest:
-    return Forest(tuple(binarise_tree(t) for t in forest.trees))
+    return Forest._unchecked(tuple(binarise_tree(t) for t in forest.trees))
 
 
 def binarise_comb(comb: ForestComb | Forest) -> ForestComb:
@@ -190,11 +190,11 @@ def debinarise_tree(tree: Tree) -> Tree:
         node = node.children[0]
     if node.decoration != "y":
         raise NotInImage(f"chain ends in {node.decoration!r}, expected y")
-    return b_plus(run + 1, debinarise_forest(Forest(node.children)))
+    return Tree._unchecked(run + 1, tuple(debinarise_tree(c) for c in node.children))
 
 
 def debinarise_forest(forest: Forest) -> Forest:
-    return Forest(tuple(debinarise_tree(t) for t in forest.trees))
+    return Forest._unchecked(tuple(debinarise_tree(t) for t in forest.trees))
 
 
 # -- convergence ---------------------------------------------------------------

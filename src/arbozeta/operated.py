@@ -65,7 +65,7 @@ class OperatorModel:
     def branch_tree(self, tree: Tree):
         cached = self._tree_cache.get(tree)
         if cached is None:
-            cached = self.op(self.embed(tree.decoration) * self.branch(Forest(tree.children)))
+            cached = self.op(self.embed(tree.decoration) * self.branch(Forest._unchecked(tree.children)))
             self._tree_cache[tree] = cached
         return cached
 

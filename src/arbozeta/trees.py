@@ -6,15 +6,20 @@ string (generic test alphabets).  A forest stores its trees sorted under a
 fixed total order, so forest concatenation is commutative by construction and
 equality is structural equality.
 
-The public constructors check decorations and alphabets.  Product recursions
-build their intermediate trees and forests through the private
-``_unchecked`` constructors, which skip those checks but still sort.
+``Tree`` and ``Forest`` are immutable ``__slots__`` values with no instance
+dict: assigning or deleting a field raises ``AttributeError``.  Construction
+computes every key once, from the children's keys: the sort key, the
+alphabet, the vertex count and the hash.
+
+The public constructors check decorations and alphabets, then call the
+private ``_unchecked`` constructors.  Code whose input is already validated
+(the product recursions, grafting, the catalog, binarisation) calls
+``_unchecked`` directly, which skips those checks but still sorts.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from operator import attrgetter
 from typing import Iterable
 
@@ -61,6 +66,7 @@ def merge_alphabets(a: Alphabet | None, b: Alphabet | None) -> Alphabet | None:
 
 
 _sort_key = attrgetter("sort_key")
+_vertex_count = attrgetter("vertex_count")
 
 
 def _canonical(trees: tuple) -> tuple:
@@ -68,18 +74,29 @@ def _canonical(trees: tuple) -> tuple:
     return tuple(sorted(trees, key=_sort_key)) if len(trees) > 1 else trees
 
 
-@dataclass(frozen=True)
-class Tree:
+class _Value:
+    """Base of the immutable value classes: fields are set once, by ``_unchecked``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__
+
+
+class Tree(_Value):
     """Decorated rooted tree; children form a multiset, stored sorted."""
 
-    decoration: Decoration
-    children: tuple["Tree", ...] = ()
+    __slots__ = ("decoration", "children", "sort_key", "alphabet", "vertex_count", "_hash")
 
-    def __post_init__(self):
-        alph = alphabet_of(self.decoration)
-        for child in self.children:
-            merge_alphabets(alph, child.alphabet)
-        object.__setattr__(self, "children", _canonical(tuple(self.children)))
+    def __new__(cls, decoration: Decoration, children: Iterable["Tree"] = ()) -> "Tree":
+        children = tuple(children)
+        reduce(merge_alphabets, [c.alphabet for c in children], alphabet_of(decoration))
+        return cls._unchecked(decoration, children)
 
     @classmethod
     def _unchecked(cls, decoration: Decoration, children: tuple["Tree", ...]) -> "Tree":
@@ -89,26 +106,15 @@ class Tree:
         values of one alphabet (or, for a contraction, the sum of two
         validated positive-integer decorations).
         """
-        tree = cls.__new__(cls)
-        object.__setattr__(tree, "decoration", decoration)
-        object.__setattr__(tree, "children", _canonical(children))
+        children = _canonical(children)
+        tree = object.__new__(cls)
+        _set(tree, "decoration", decoration)
+        _set(tree, "children", children)
+        _set(tree, "sort_key", (decoration_key(decoration), tuple(map(_sort_key, children))))
+        _set(tree, "alphabet", children[0].alphabet if children else alphabet_of(decoration))
+        _set(tree, "vertex_count", 1 + sum(map(_vertex_count, children)))
+        _set(tree, "_hash", hash((decoration, children)))
         return tree
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        return (decoration_key(self.decoration), tuple(c.sort_key for c in self.children))
-
-    @cached_property
-    def alphabet(self) -> Alphabet:
-        return alphabet_of(self.decoration)
-
-    @cached_property
-    def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count for c in self.children)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.decoration, self.children))
 
     def __hash__(self) -> int:
         return self._hash
@@ -117,6 +123,9 @@ class Tree:
         if not isinstance(other, Tree):
             return NotImplemented
         return self.decoration == other.decoration and self.children == other.children
+
+    def __reduce__(self):
+        return Tree, (self.decoration, self.children)
 
     def is_ladder(self) -> bool:
         """True when no vertex has two or more direct successors."""
@@ -144,17 +153,15 @@ class Tree:
         return f"Tree({self.decoration!r}, {list(self.children)!r})"
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(_Value):
     """Finite multiset of decorated rooted trees; the empty forest is the unit."""
 
-    trees: tuple[Tree, ...] = ()
+    __slots__ = ("trees", "sort_key", "alphabet", "vertex_count", "_hash")
 
-    def __post_init__(self):
-        alph = None
-        for tree in self.trees:
-            alph = merge_alphabets(alph, tree.alphabet)
-        object.__setattr__(self, "trees", _canonical(tuple(self.trees)))
+    def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
+        trees = tuple(trees)
+        reduce(merge_alphabets, [t.alphabet for t in trees], None)
+        return cls._unchecked(trees)
 
     @classmethod
     def _unchecked(cls, trees: tuple[Tree, ...]) -> "Forest":
@@ -162,25 +169,14 @@ class Forest:
 
         Precondition: ``trees`` are validated trees of one alphabet.
         """
-        forest = cls.__new__(cls)
-        object.__setattr__(forest, "trees", _canonical(trees))
+        trees = _canonical(trees)
+        forest = object.__new__(cls)
+        _set(forest, "trees", trees)
+        _set(forest, "sort_key", tuple(map(_sort_key, trees)))
+        _set(forest, "alphabet", trees[0].alphabet if trees else None)
+        _set(forest, "vertex_count", sum(map(_vertex_count, trees)))
+        _set(forest, "_hash", hash(trees))
         return forest
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        return tuple(t.sort_key for t in self.trees)
-
-    @cached_property
-    def alphabet(self) -> Alphabet | None:
-        return self.trees[0].alphabet if self.trees else None
-
-    @cached_property
-    def vertex_count(self) -> int:
-        return sum(t.vertex_count for t in self.trees)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.trees)
 
     def __hash__(self) -> int:
         return self._hash
@@ -189,6 +185,9 @@ class Forest:
         if not isinstance(other, Forest):
             return NotImplemented
         return self.trees == other.trees
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __bool__(self) -> bool:
         return bool(self.trees)
@@ -227,7 +226,7 @@ def leaf(dec: Decoration) -> Tree:
 def b_plus(dec: Decoration, forest: Forest = EMPTY_FOREST) -> Tree:
     """Grafting: add a root decorated by ``dec`` below the trees of ``forest``."""
     merge_alphabets(alphabet_of(dec), forest.alphabet)
-    return Tree(dec, forest.trees)
+    return Tree._unchecked(dec, forest.trees)
 
 
 def tree_forest(*trees: Tree) -> Forest:
@@ -237,7 +236,7 @@ def tree_forest(*trees: Tree) -> Forest:
 def concat_forests(a: Forest, b: Forest) -> Forest:
     """Multiset union; the commutative product of the free algebra of forests."""
     merge_alphabets(a.alphabet, b.alphabet)
-    return Forest(a.trees + b.trees)
+    return Forest._unchecked(a.trees + b.trees)
 
 
 def ladder(decorations: Iterable[Decoration]) -> Forest:

@@ -9,28 +9,30 @@ Validation happens where values enter: the public ``Word``/``word``
 constructors check every letter, and the product entry points check the
 alphabets and the semigroup condition.  The recursion then builds its terms
 in plain dicts and through ``Word._unchecked``, never re-validating a term.
+
+``Word`` is an immutable ``__slots__`` value like ``Tree`` and ``Forest``; it
+hashes its letters once, at construction.  Its sort key and alphabet are
+computed on each access, since most words are never sorted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from typing import Iterable
 
 from .errors import NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
 from .lincomb import Coeff, LinComb, _as_comb, _norm
-from .trees import Alphabet, Decoration, alphabet_of, decoration_key, merge_alphabets
+from .trees import Alphabet, Decoration, _set, _Value, alphabet_of, decoration_key, merge_alphabets
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """Finite letter sequence; the empty word is the unit of concatenation."""
 
-    letters: tuple[Decoration, ...] = ()
+    __slots__ = ("letters", "_hash")
 
-    def __post_init__(self):
-        alph = None
-        for letter in self.letters:
-            alph = merge_alphabets(alph, alphabet_of(letter))
+    def __new__(cls, letters: Iterable[Decoration] = ()) -> "Word":
+        letters = tuple(letters)
+        reduce(merge_alphabets, map(alphabet_of, letters), None)
+        return cls._unchecked(letters)
 
     @classmethod
     def _unchecked(cls, letters: tuple[Decoration, ...]) -> "Word":
@@ -39,18 +41,27 @@ class Word:
         Precondition: every letter comes from a validated word (or is the sum
         of two validated positive-integer letters), all of one alphabet.
         """
-        w = cls.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w = object.__new__(cls)
+        _set(w, "letters", letters)
+        _set(w, "_hash", hash(letters))
         return w
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return self._hash
 
-    @cached_property
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    @property
     def sort_key(self) -> tuple:
         return tuple(decoration_key(l) for l in self.letters)
 
-    @cached_property
+    @property
     def alphabet(self) -> Alphabet | None:
         return alphabet_of(self.letters[0]) if self.letters else None
 
@@ -85,7 +96,7 @@ def word(letters: Iterable[Decoration]) -> Word:
 
 def concat_words(a: Word, b: Word) -> Word:
     merge_alphabets(a.alphabet, b.alphabet)
-    return Word(a.letters + b.letters)
+    return Word._unchecked(a.letters + b.letters)
 
 
 def _require_semigroup(lam: Coeff, *alphabets: Alphabet | None) -> Coeff:

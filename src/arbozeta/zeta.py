@@ -94,7 +94,9 @@ def summation_cap(max_n: int | None = None) -> int:
         try:
             max_n = int(env) if env else DEFAULT_MAX_N
         except ValueError:
-            raise DomainError(f"ARBOZETA_MAX_N must be a positive integer, got {env!r}") from None
+            max_n = 0
+        if max_n < 1:
+            raise DomainError(f"ARBOZETA_MAX_N must be a positive integer, got {env!r}")
     if max_n < 1:
         raise DomainError(f"summation cap must be positive, got {max_n}")
     return max_n

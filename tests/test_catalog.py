@@ -2,6 +2,7 @@
 import pytest
 
 from arbozeta.catalog import forests_with_vertices, forests_with_weight, trees_with_vertices, trees_with_weight
+from arbozeta.errors import AlphabetMismatch, InvalidDecoration
 from arbozeta.trees import Forest, Tree
 
 # OEIS A000081(v + 1): a forest on v vertices is a rooted tree on v + 1 with its root removed.
@@ -50,3 +51,11 @@ def test_weight_catalog_is_distinct_and_sized():
     for w in range(8):
         _assert_distinct_of_size(forests_with_weight(w), Forest.weight, w)
         _assert_distinct_of_size(trees_with_weight(w), Tree.weight, w)
+
+
+@pytest.mark.parametrize("decorations, error", [((0,), InvalidDecoration), ((1, "x"), AlphabetMismatch)])
+def test_catalog_checks_its_decorations(decorations, error):
+    with pytest.raises(error):
+        trees_with_vertices(1, decorations)
+    with pytest.raises(error):
+        forests_with_vertices(2, decorations)

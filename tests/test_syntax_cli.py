@@ -354,11 +354,12 @@ class TestCli:
         assert code == 3
         assert "error" in err
 
-    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     @pytest.mark.parametrize("argv", [("eval", "2 2"), ("polylog", "(2)", "--z", "0.5")])
     def test_malformed_env_cap_is_domain_error(self, monkeypatch, value, argv):
         monkeypatch.setenv("ARBOZETA_MAX_N", value)
         code, out, err = run_cli(*argv)
         assert code == 3
         assert err.startswith("error:") and "ARBOZETA_MAX_N" in err
+        assert f"must be a positive integer, got {value!r}" in err
         assert "Traceback" not in err and not out

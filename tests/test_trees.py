@@ -1,3 +1,5 @@
+import copy
+import pickle
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from arbozeta.errors import AlphabetMismatch, InvalidDecoration, UnsupportedAlph
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import (
     EMPTY_FOREST,
+    Alphabet,
     Forest,
     Tree,
     b_plus,
@@ -15,6 +18,7 @@ from arbozeta.trees import (
     leaf,
     tree_forest,
 )
+from arbozeta.words import Word
 
 
 def raw_trees(decorations=(1, 2, 3), max_depth=3):
@@ -30,6 +34,19 @@ def raw_trees(decorations=(1, 2, 3), max_depth=3):
 def build(raw) -> Tree:
     dec, children = raw
     return Tree(dec, tuple(build(c) for c in children))
+
+
+def build_unchecked(raw) -> Tree:
+    dec, children = raw
+    return Tree._unchecked(dec, tuple(build_unchecked(c) for c in children))
+
+
+def keys(value) -> tuple:
+    """Everything a dict, a sort or a grading reads from a tree or forest."""
+    return value, hash(value), value.sort_key, value.alphabet, value.vertex_count
+
+
+ALPHABETS = [(1, 2, 3), ("x", "y"), ("ab", "c")]
 
 
 class TestCanonicalization:
@@ -188,3 +205,53 @@ class TestLadders:
 
     def test_branching_detection(self):
         assert not Tree(2, (leaf(1), leaf(1))).is_ladder()
+
+
+class TestValueContract:
+    @given(st.sampled_from(ALPHABETS).flatmap(lambda decs: st.lists(raw_trees(decs), max_size=3)))
+    def test_checked_and_unchecked_construction_agree(self, raws):
+        for raw in raws:
+            assert keys(build(raw)) == keys(build_unchecked(raw))
+        checked = Forest(tuple(build(raw) for raw in raws))
+        assert keys(checked) == keys(Forest._unchecked(tuple(build_unchecked(raw) for raw in raws)))
+
+    @given(st.sampled_from(ALPHABETS).flatmap(lambda decs: st.tuples(raw_trees(decs), st.randoms())))
+    def test_any_child_order_gives_equal_values(self, case):
+        (dec, raw_children), rng = case
+        children = [build(c) for c in raw_children]
+        tree, forest = Tree(dec, children), Forest(children)
+        rng.shuffle(children)
+        assert keys(Tree(dec, children)) == keys(tree)
+        assert keys(Tree._unchecked(dec, tuple(children))) == keys(tree)
+        assert keys(Forest(children)) == keys(forest)
+        assert keys(Forest._unchecked(tuple(children))) == keys(forest)
+
+    def test_keys_are_computed_at_construction(self):
+        tree = Tree(2, (leaf(3), Tree(1, (leaf(1),))))
+        assert tree.children == (Tree(1, (leaf(1),)), leaf(3))
+        assert tree.sort_key == ((0, 2, ""), (((0, 1, ""), (((0, 1, ""), ()),)), ((0, 3, ""), ())))
+        assert (tree.alphabet, tree.vertex_count, hash(tree)) == (Alphabet.POSINT, 4, hash((2, tree.children)))
+        forest = Forest((leaf("y"), leaf("x")))
+        assert forest.sort_key == (((1, 0, ""), ()), ((1, 1, ""), ()))
+        assert (forest.alphabet, forest.vertex_count, hash(forest)) == (Alphabet.XY, 2, hash(forest.trees))
+        assert (EMPTY_FOREST.sort_key, EMPTY_FOREST.alphabet, EMPTY_FOREST.vertex_count) == ((), None, 0)
+
+    @pytest.mark.parametrize(
+        "value, fields",
+        [
+            (Tree(2, (leaf(1),)), ("decoration", "children", "sort_key", "alphabet", "vertex_count", "_hash")),
+            (Forest((leaf(2), leaf(1))), ("trees", "sort_key", "alphabet", "vertex_count", "_hash")),
+            (Word((2, 1)), ("letters", "_hash", "sort_key", "alphabet")),
+        ],
+    )
+    def test_values_are_immutable_and_have_no_instance_dict(self, value, fields):
+        assert not hasattr(value, "__dict__")
+        before = (value, hash(value))
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert (value, hash(value)) == before
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)

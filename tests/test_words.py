@@ -46,7 +46,8 @@ class TestValidation:
     def test_unchecked_word_is_the_same_key(self, letters):
         checked, unchecked = word(letters), Word._unchecked(letters)
         assert checked == unchecked
-        assert hash(checked) == hash(unchecked)
+        assert hash(checked) == hash(unchecked) == hash(letters)
+        assert checked.sort_key == unchecked.sort_key and checked.alphabet == unchecked.alphabet
         assert {checked: 1}[unchecked] == 1
         assert {unchecked: 2}[checked] == 2
 

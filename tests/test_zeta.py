@@ -254,8 +254,9 @@ class TestPrecisionArgument:
         with pytest.raises(PrecisionUnreachable):
             eval_polylog((3,), 0.5, 1e-17)
 
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(DomainError):
+    def test_nonpositive_cap_rejected(self, monkeypatch):
+        monkeypatch.setenv("ARBOZETA_MAX_N", "100")
+        with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
             eval_polylog((3,), 0.5, 1e-10, max_n=0)
 
 
