@@ -94,7 +94,7 @@ def summation_cap(max_n: int | None = None) -> int:
         try:
             max_n = int(env) if env else DEFAULT_MAX_N
         except ValueError:
-            max_n = 0
+            max_n = 0  # refused below, quoting the variable's text
         if max_n < 1:
             raise DomainError(f"ARBOZETA_MAX_N must be a positive integer, got {env!r}")
     if max_n < 1:
