@@ -5,7 +5,7 @@ import random
 from functools import cache, reduce
 from itertools import product as cartesian
 
-from .trees import Decoration, Forest, Tree, alphabet_of, merge_alphabets
+from .trees import Decoration, Forest, Tree, _canonical, alphabet_of, merge_alphabets
 from .words import Word
 
 
@@ -107,7 +107,7 @@ def linear_extension_count(forest: Forest) -> int:
     total = 0
     for i, tree in enumerate(forest.trees):
         rest = forest.without(i)
-        promoted = Forest._unchecked(rest.trees + tree.children)
+        promoted = Forest._unchecked(_canonical(rest.trees + tree.children))
         total += linear_extension_count(promoted)
     return total
 

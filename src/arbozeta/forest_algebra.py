@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import NotInImage, SemigroupRequired
 from .lincomb import Coeff, LinComb, _as_comb
-from .trees import Alphabet, Forest, Tree, concat_forests, merge_alphabets
+from .trees import Alphabet, Forest, Tree, _canonical, concat_forests, merge_alphabets
 from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec
 
 ForestComb = LinComb[Forest]
@@ -81,8 +81,8 @@ _TREE_SHUFFLE_CACHE: dict = {}
 
 def shuffle_forests_basis(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
     """Lambda-shuffle of two basis forests."""
-    merge_alphabets(a.alphabet, b.alphabet)
-    return _tree_shuffle_rec(a, b, _require_semigroup(lam, a.alphabet, b.alphabet))
+    alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    return _tree_shuffle_rec(a, b, _require_semigroup(lam, alphabet))
 
 
 def _graft_into(sums: dict, dec, comb: ForestComb, coeff: Coeff):
@@ -127,7 +127,7 @@ def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff, redistribute: bool = Tru
                     redistribute,
                 )
                 for f, c in pair.items():
-                    key_f = Forest._unchecked(f.trees + rest)
+                    key_f = Forest._unchecked(_canonical(f.trees + rest))
                     sums[key_f] = sums.get(key_f, 0) + c
         if redistribute:
             sums = {f: Fraction(c, k * n) for f, c in sums.items()}
@@ -165,14 +165,14 @@ def binarise_tree(tree: Tree) -> Tree:
     dec = tree.decoration
     if not isinstance(dec, int) or dec < 1:
         raise SemigroupRequired("branched binarisation needs positive-integer decorations")
-    node = Tree._unchecked("y", tuple(binarise_tree(c) for c in tree.children))
+    node = Tree._unchecked("y", _canonical(tuple(map(binarise_tree, tree.children))))
     for _ in range(dec - 1):
         node = Tree._unchecked("x", (node,))
     return node
 
 
 def binarise_forest(forest: Forest) -> Forest:
-    return Forest._unchecked(tuple(binarise_tree(t) for t in forest.trees))
+    return Forest._unchecked(_canonical(tuple(map(binarise_tree, forest.trees))))
 
 
 def binarise_comb(comb: ForestComb | Forest) -> ForestComb:
@@ -190,11 +190,11 @@ def debinarise_tree(tree: Tree) -> Tree:
         node = node.children[0]
     if node.decoration != "y":
         raise NotInImage(f"chain ends in {node.decoration!r}, expected y")
-    return Tree._unchecked(run + 1, tuple(debinarise_tree(c) for c in node.children))
+    return Tree._unchecked(run + 1, _canonical(tuple(map(debinarise_tree, node.children))))
 
 
 def debinarise_forest(forest: Forest) -> Forest:
-    return Forest._unchecked(tuple(debinarise_tree(t) for t in forest.trees))
+    return Forest._unchecked(_canonical(tuple(map(debinarise_tree, forest.trees))))
 
 
 # -- convergence ---------------------------------------------------------------

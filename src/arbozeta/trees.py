@@ -11,10 +11,12 @@ dict: assigning or deleting a field raises ``AttributeError``.  Construction
 computes every key once, from the children's keys: the sort key, the
 alphabet, the vertex count and the hash.
 
-The public constructors check decorations and alphabets, then call the
-private ``_unchecked`` constructors.  Code whose input is already validated
-(the product recursions, grafting, the catalog, binarisation) calls
-``_unchecked`` directly, which skips those checks but still sorts.
+The public constructors check decorations and alphabets, sort, then call
+the private ``_unchecked`` constructors.  Code whose input is already
+validated (the product recursions, grafting, the catalog, binarisation)
+calls ``_unchecked`` directly, which skips those checks and does not sort:
+a caller that can hand over trees out of order, such as a concatenation or
+a map that changes sort keys, passes them through ``_canonical`` first.
 """
 from __future__ import annotations
 
@@ -96,17 +98,17 @@ class Tree(_Value):
     def __new__(cls, decoration: Decoration, children: Iterable["Tree"] = ()) -> "Tree":
         children = tuple(children)
         reduce(merge_alphabets, [c.alphabet for c in children], alphabet_of(decoration))
-        return cls._unchecked(decoration, children)
+        return cls._unchecked(decoration, _canonical(children))
 
     @classmethod
     def _unchecked(cls, decoration: Decoration, children: tuple["Tree", ...]) -> "Tree":
-        """Tree built without validation; the children are still sorted.
+        """Tree built without validation or sorting.
 
         Precondition: ``decoration`` and ``children`` come from validated
         values of one alphabet (or, for a contraction, the sum of two
-        validated positive-integer decorations).
+        validated positive-integer decorations), and ``children`` is in
+        canonical order (see :func:`_canonical`).
         """
-        children = _canonical(children)
         tree = object.__new__(cls)
         _set(tree, "decoration", decoration)
         _set(tree, "children", children)
@@ -161,15 +163,15 @@ class Forest(_Value):
     def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
         trees = tuple(trees)
         reduce(merge_alphabets, [t.alphabet for t in trees], None)
-        return cls._unchecked(trees)
+        return cls._unchecked(_canonical(trees))
 
     @classmethod
     def _unchecked(cls, trees: tuple[Tree, ...]) -> "Forest":
-        """Forest built without validation; the trees are still sorted.
+        """Forest built without validation or sorting.
 
-        Precondition: ``trees`` are validated trees of one alphabet.
+        Precondition: ``trees`` are validated trees of one alphabet, in
+        canonical order (see :func:`_canonical`).
         """
-        trees = _canonical(trees)
         forest = object.__new__(cls)
         _set(forest, "trees", trees)
         _set(forest, "sort_key", tuple(map(_sort_key, trees)))
@@ -236,7 +238,7 @@ def tree_forest(*trees: Tree) -> Forest:
 def concat_forests(a: Forest, b: Forest) -> Forest:
     """Multiset union; the commutative product of the free algebra of forests."""
     merge_alphabets(a.alphabet, b.alphabet)
-    return Forest._unchecked(a.trees + b.trees)
+    return Forest._unchecked(_canonical(a.trees + b.trees))
 
 
 def ladder(decorations: Iterable[Decoration]) -> Forest:

@@ -99,15 +99,11 @@ def concat_words(a: Word, b: Word) -> Word:
     return Word._unchecked(a.letters + b.letters)
 
 
-def _require_semigroup(lam: Coeff, *alphabets: Alphabet | None) -> Coeff:
+def _require_semigroup(lam: Coeff, alphabet: Alphabet | None) -> Coeff:
     """Reject a contracting product off the positive integers; return lambda
     with an integral Fraction turned into an int."""
-    if lam:
-        for alph in alphabets:
-            if alph is not None and alph is not Alphabet.POSINT:
-                raise SemigroupRequired(
-                    "contracting product (lambda != 0) needs positive-integer decorations"
-                )
+    if lam and alphabet is not None and alphabet is not Alphabet.POSINT:
+        raise SemigroupRequired("contracting product (lambda != 0) needs positive-integer decorations")
     return _norm(lam)
 
 
@@ -116,8 +112,8 @@ _SHUFFLE_CACHE: dict = {}
 
 def shuffle_words_basis(a: Word, b: Word, lam: Coeff) -> LinComb[Word]:
     """Lambda-shuffle of two basis words."""
-    merge_alphabets(a.alphabet, b.alphabet)
-    return _shuffle_rec(a.letters, b.letters, _require_semigroup(lam, a.alphabet, b.alphabet))
+    alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    return _shuffle_rec(a.letters, b.letters, _require_semigroup(lam, alphabet))
 
 
 def _prepend_into(sums: dict, letter: Decoration, comb: LinComb[Word], coeff: Coeff):

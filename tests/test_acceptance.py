@@ -24,7 +24,7 @@ from arbozeta.forest_algebra import (
     shuffle_forests_basis,
 )
 from arbozeta.lincomb import LinComb
-from arbozeta.suites import SUITES, run_suite
+from arbozeta.suites import run_suite
 from arbozeta.trees import Alphabet, Forest, Tree, b_plus, leaf, tree_forest
 from arbozeta.zeta import MzvCombination, eval_combination, eval_mzv, reduce_azv
 
@@ -304,9 +304,7 @@ def test_criterion_10_polylog_checks():
 def test_check_all_entry_point():
     """The CLI acceptance entry point: check --suite all --weight-bound 6."""
     start = time.monotonic()
-    entries = []
-    for name in SUITES:
-        entries.extend(run_suite(name, 6, PRECISION))
+    entries = run_suite("all", 6, PRECISION)
     bad = [e for e in entries if not e["pass"]]
     elapsed = time.monotonic() - start
     print(f"[acceptance] check --suite all --weight-bound 6: "

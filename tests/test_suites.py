@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 from arbozeta.errors import DomainError
-from arbozeta import syntax
+from arbozeta import cli, suites, syntax
 from arbozeta.suites import SUITES, _family, _pairs, _tally, _with_lambda, _worst_gap, run_suite
 from arbozeta.words import word
 
@@ -32,9 +34,48 @@ def test_bad_weight_bound_rejected(bound):
         run_suite("all", bound)
 
 
-def test_all_runs_every_suite():
-    entries = run_suite("all", 3, 1e-6)
-    assert {e["suite"] for e in entries} == set(SUITES)
+def test_all_runs_every_suite(monkeypatch):
+    """``all`` is every suite in ``SUITES`` order, on the default worker
+    count, in process (one CPU) and in two workers."""
+    serial = [entry for name in SUITES for entry in run_suite(name, 3, 1e-6)]
+    assert {e["suite"] for e in serial} == set(SUITES)
+    assert run_suite("all", 3, 1e-6) == serial
+    for cpus in (1, 2):
+        monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+        assert run_suite("all", 3, 1e-6) == serial
+
+
+def _break_a_suite(monkeypatch, cpus):
+    """Make one suite raise; the message says whether it ran in a worker.
+
+    Forked workers inherit the patched ``SUITES`` entry.  Returns the message
+    expected from ``run_suite("all", 3, ...)``.
+    """
+    caller = os.getpid()
+
+    def broken(bound, precision):
+        where = "caller" if os.getpid() == caller else "worker"
+        raise DomainError(f"broken suite at bound {bound}, in the {where}")
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+    monkeypatch.setitem(SUITES, "theorem5", broken)
+    where = "worker" if cpus > 1 and hasattr(os, "fork") else "caller"
+    return f"broken suite at bound 3, in the {where}"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_all_raises_a_suite_error_in_the_caller(monkeypatch, cpus):
+    message = _break_a_suite(monkeypatch, cpus)
+    with pytest.raises(DomainError) as info:
+        run_suite("all", 3, 1e-6)
+    assert str(info.value) == message
+
+
+def test_check_reports_a_worker_error_as_a_domain_error(monkeypatch, capsys):
+    message = _break_a_suite(monkeypatch, 2)
+    assert cli.main(["check", "--suite", "all", "--weight-bound", "3"]) == cli.EXIT_DOMAIN_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_family_counts_failures_and_names_the_first():

@@ -11,6 +11,7 @@ from arbozeta.trees import (
     Alphabet,
     Forest,
     Tree,
+    _canonical,
     b_plus,
     concat_forests,
     ladder,
@@ -18,6 +19,7 @@ from arbozeta.trees import (
     leaf,
     tree_forest,
 )
+from arbozeta.forest_algebra import binarise_forest, debinarise_forest
 from arbozeta.words import Word
 
 
@@ -38,7 +40,14 @@ def build(raw) -> Tree:
 
 def build_unchecked(raw) -> Tree:
     dec, children = raw
-    return Tree._unchecked(dec, tuple(build_unchecked(c) for c in children))
+    return Tree._unchecked(dec, _canonical(tuple(build_unchecked(c) for c in children)))
+
+
+def rebuild(value):
+    """``value`` built again through the public constructors, from reversed children."""
+    if isinstance(value, Tree):
+        return Tree(value.decoration, [rebuild(c) for c in reversed(value.children)])
+    return Forest([rebuild(t) for t in reversed(value.trees)])
 
 
 def keys(value) -> tuple:
@@ -213,7 +222,7 @@ class TestValueContract:
         for raw in raws:
             assert keys(build(raw)) == keys(build_unchecked(raw))
         checked = Forest(tuple(build(raw) for raw in raws))
-        assert keys(checked) == keys(Forest._unchecked(tuple(build_unchecked(raw) for raw in raws)))
+        assert keys(checked) == keys(Forest._unchecked(_canonical(tuple(build_unchecked(raw) for raw in raws))))
 
     @given(st.sampled_from(ALPHABETS).flatmap(lambda decs: st.tuples(raw_trees(decs), st.randoms())))
     def test_any_child_order_gives_equal_values(self, case):
@@ -222,9 +231,20 @@ class TestValueContract:
         tree, forest = Tree(dec, children), Forest(children)
         rng.shuffle(children)
         assert keys(Tree(dec, children)) == keys(tree)
-        assert keys(Tree._unchecked(dec, tuple(children))) == keys(tree)
+        assert keys(Tree._unchecked(dec, _canonical(tuple(children)))) == keys(tree)
         assert keys(Forest(children)) == keys(forest)
-        assert keys(Forest._unchecked(tuple(children))) == keys(forest)
+        assert keys(Forest._unchecked(_canonical(tuple(children)))) == keys(forest)
+
+    @given(st.lists(raw_trees(), max_size=3), st.lists(raw_trees(), max_size=3), st.sampled_from((1, 2, 3)))
+    def test_unchecked_builders_give_canonical_forests(self, raws_a, raws_b, dec):
+        # Grafting, concatenation, removal and the binarisation maps build
+        # through the unsorted constructors; each result must equal its rebuild.
+        a, b = Forest(map(build, raws_a)), Forest(map(build, raws_b))
+        both = concat_forests(a, b)
+        derived = [tree_forest(b_plus(dec, a)), both, binarise_forest(both), debinarise_forest(binarise_forest(both))]
+        derived += [both.without(i) for i in range(len(both.trees))]
+        for forest in derived:
+            assert keys(forest) == keys(rebuild(forest))
 
     def test_keys_are_computed_at_construction(self):
         tree = Tree(2, (leaf(3), Tree(1, (leaf(1),))))
