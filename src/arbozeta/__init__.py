@@ -59,7 +59,6 @@ from .words import (
 from .zeta import (
     MzvCombination,
     MzvEval,
-    PolylogEval,
     azv,
     eval_arborified_polylog,
     eval_combination,

@@ -2,8 +2,8 @@
 
 Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
-checks, 2 parse error, 3 domain error.  ``ARBOZETA_MAX_N`` overrides the
-cap on the polylog horizon.
+checks, 2 parse error, 3 domain error.  ``--max-n`` caps the polylog
+horizon of ``eval`` and ``polylog``.
 
 Only ``check`` loads numpy and the identity suites; every other verb
 loads neither, since the series kernel behind ``eval`` and ``polylog``
@@ -36,7 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 
-MAX_N_HELP = "cap on the polylog horizon, the power-series terms per polylogarithm (default: ARBOZETA_MAX_N or 10^7)"
+MAX_N_HELP = "cap on the polylog horizon, the power-series terms per polylogarithm (default: 10^7)"
 
 
 def _fraction(text: str) -> Fraction:

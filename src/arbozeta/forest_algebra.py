@@ -68,10 +68,9 @@ def _flatten_rec(forest: Forest, lam: Coeff) -> WordComb:
 
 def flatten(comb: ForestComb | Forest, lam: Coeff) -> WordComb:
     """Linear extension of the flattening map."""
-    out: WordComb = LinComb.zero()
-    for forest, coeff in _as_comb(comb).items():
-        out = out + flatten_forest(forest, lam).scale(coeff)
-    return out
+    return LinComb(
+        (w, c * coeff) for forest, coeff in _as_comb(comb).items() for w, c in flatten_forest(forest, lam).items()
+    )
 
 
 # -- lambda-shuffle on trees --------------------------------------------------

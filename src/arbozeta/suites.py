@@ -21,7 +21,7 @@ import os
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product as cartesian, repeat
+from itertools import permutations, product as cartesian
 
 from . import syntax
 from .catalog import (
@@ -997,7 +997,7 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
         err += tail * math.prod(
             full_bounds[j] for j in range(len(values)) if j != i
         )
-    return MzvEval(value, err, (), "star" if star else "strict")
+    return MzvEval(value, err)
 
 
 def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:
@@ -1156,14 +1156,15 @@ def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
         workers = min(len(SUITES), _cpu_count())
         if workers < 2 or not hasattr(os, "fork"):
             return [entry for suite in SUITES.values() for entry in suite(bound, precision)]
-        # Imported here: the pool modules take about 11 ms to import, which the
+        # Imported here: the pool modules take 10-20 ms to import, which the
         # other callers of this module should not pay.  Forked workers inherit
         # the loaded modules instead of importing arbozeta and numpy again.
-        from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            reports = pool.map(run_suite, SUITES, repeat(bound), repeat(precision))
+        # Leaving the block terminates the workers, so an error ends the suites
+        # still running or queued instead of waiting for them.
+        with get_context("fork").Pool(workers) as pool:
+            reports = pool.imap(partial(run_suite, bound=bound, precision=precision), SUITES)
             return [entry for report in reports for entry in report]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")

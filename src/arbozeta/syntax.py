@@ -185,7 +185,7 @@ class _Parser:
         return coeff, self.parse_top_forest()
 
     def parse_lincomb(self) -> LinComb:
-        out: LinComb = LinComb.zero()
+        terms = []
         sign = 1
         if self.at_sym("-"):
             self.next()
@@ -200,7 +200,7 @@ class _Parser:
                 basis_kind = kind
             elif kind is not basis_kind:
                 raise ParseError("cannot mix forests and words in one combination")
-            out = out + LinComb.of(basis, sign * coeff)
+            terms.append((basis, sign * coeff))
             if self.at_sym("+"):
                 self.next()
                 sign = 1
@@ -211,7 +211,7 @@ class _Parser:
                 break
         if not self.done():
             raise ParseError(f"trailing input at {self.peek()[1]!r}")
-        return out
+        return LinComb(terms)
 
 
 def parse_forest(text: str) -> Forest:

@@ -48,7 +48,6 @@ This module imports no numpy; only the ``check`` oracles in
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
@@ -63,7 +62,7 @@ from .errors import (
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest
-from .words import Word, binarise, debinarise, is_semiconvergent_word
+from .words import Word, binarise, debinarise
 
 Composition = tuple[int, ...]
 
@@ -88,15 +87,9 @@ _SUMS: dict[tuple[Composition, float, int], int] = {}  # (u, z, n): see _fixed_p
 
 
 def summation_cap(max_n: int | None = None) -> int:
-    """Largest polylog horizon allowed: ``max_n``, else ``ARBOZETA_MAX_N``."""
+    """Largest polylog horizon allowed: ``max_n``, else ``DEFAULT_MAX_N``."""
     if max_n is None:
-        env = os.environ.get("ARBOZETA_MAX_N")
-        try:
-            max_n = int(env) if env else DEFAULT_MAX_N
-        except ValueError:
-            max_n = 0  # refused below, quoting the variable's text
-        if max_n < 1:
-            raise DomainError(f"ARBOZETA_MAX_N must be a positive integer, got {env!r}")
+        return DEFAULT_MAX_N
     if max_n < 1:
         raise DomainError(f"summation cap must be positive, got {max_n}")
     return max_n
@@ -108,29 +101,21 @@ class MzvEval:
 
     value: float
     abs_error: float
-    index: Composition = ()
-    flavor: str = "strict"
-
-
-@dataclass(frozen=True)
-class PolylogEval:
-    value: float
-    abs_error: float
-    argument: float
-    index: Composition = ()
 
 
 @dataclass(frozen=True)
 class MzvCombination:
-    """Exact rational combination of composition-indexed zeta values."""
+    """Exact rational combination of composition-indexed zeta values.
+
+    The one check of zeta indexes: integer parts >= 1 and a first part >= 2.
+    """
 
     terms: dict[Composition, Coeff] = field(default_factory=dict)
     flavor: str = "strict"
 
     def __post_init__(self):
         for index, coeff in self.terms.items():
-            if index and index[0] < 2:
-                raise NonConvergent(f"divergent index {index} in combination")
+            _validate_index(index, self.flavor)
             if not coeff:
                 raise ValueError("zero coefficient stored in combination")
 
@@ -144,11 +129,15 @@ class MzvCombination:
         return len(self.terms)
 
 
+def _validate_parts(s: Composition):
+    if any(not isinstance(p, int) or p < 1 for p in s):
+        raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
+
+
 def _validate_index(s: Composition, flavor: str):
     if flavor not in ("strict", "star"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    if any(not isinstance(p, int) or p < 1 for p in s):
-        raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
+    _validate_parts(s)
     if s and s[0] < 2:
         raise DivergentIndex(f"series diverges for first part {s[0]}")
 
@@ -330,7 +319,7 @@ def _holder(s: Composition, cap: int) -> MzvEval:
         total += a * b
         size += abs(a * b)
         err += abs(a) * db + abs(b) * da + da * db
-    return MzvEval(total, err + _gamma(n + 2, _F64_U) * size, s, "strict")
+    return MzvEval(total, err + _gamma(n + 2, _F64_U) * size)
 
 
 def _combine(terms) -> tuple[float, float]:
@@ -365,7 +354,7 @@ def _mzv(s: Composition, flavor: str, cap: int) -> MzvEval:
         else:
             merges = star_to_strict(s).sorted_items()
             total, err = _combine([(c, _mzv(t, "strict", cap)) for t, c in merges])
-            ev = MzvEval(total, err, s, "star")
+            ev = MzvEval(total, err)
         _MZV_CACHE[key] = ev
     return ev
 
@@ -377,14 +366,7 @@ def eval_mzv(
     max_n: int | None = None,
 ) -> MzvEval:
     """Multiple zeta value (strict nesting) or its star variant (non-strict)."""
-    s = tuple(s)
-    _validate_index(s, flavor)
-    _check_precision(precision)
-    if not s:
-        return MzvEval(1.0, 0.0, s, flavor)
-    ev = _mzv(s, flavor, summation_cap(max_n))
-    _require(ev.abs_error, precision, f"{flavor} {s}")
-    return ev
+    return eval_combination(MzvCombination({tuple(s): 1}, flavor), precision, max_n)
 
 
 def clear_mzv_cache():
@@ -398,16 +380,14 @@ def clear_mzv_cache():
 def words_to_combination(words: LinComb[Word], flavor: str) -> MzvCombination:
     """Zeta combination of a word combination, debinarising binary words.
 
-    Every word must index a convergent series, also one whose terms cancel.
+    Words from both alphabets can land on one index, so coefficients are
+    summed; :class:`MzvCombination` refuses a divergent index.
     """
     terms: dict[Composition, Coeff] = {}
     for w, coeff in words.items():
         if w and w.alphabet is Alphabet.XY:
             w = debinarise(w)
-        index: Composition = w.letters
-        if index and index[0] < 2:
-            raise NonConvergent(f"divergent word {index}")
-        terms[index] = terms.get(index, 0) + coeff
+        terms[w.letters] = terms.get(w.letters, 0) + coeff
     return MzvCombination({index: c for index, c in terms.items() if c}, flavor)
 
 
@@ -443,13 +423,13 @@ def eval_combination(
     """Sum of coeff * zeta(index), each term at the kernel's floor."""
     _check_precision(precision)
     cap = summation_cap(max_n)
-    terms = []
-    for index, coeff in comb.sorted_items():
-        _validate_index(index, comb.flavor)
-        terms.append((coeff, _mzv(index, comb.flavor, cap) if index else MzvEval(1.0, 0.0)))
+    terms = [
+        (coeff, _mzv(index, comb.flavor, cap) if index else MzvEval(1.0, 0.0))
+        for index, coeff in comb.sorted_items()
+    ]
     total, err = _combine(terms)
     _require(err, precision, "combination")
-    return MzvEval(total, err, (), comb.flavor)
+    return MzvEval(total, err)
 
 
 def azv(
@@ -489,13 +469,12 @@ def _check_polylog_args(z: float, precision: float):
     _check_precision(precision)
 
 
-def _polylog(s: Composition, z: float, tail: float, cap: int) -> PolylogEval:
+def _polylog(s: Composition, z: float, tail: float, cap: int) -> MzvEval:
     if not s:
-        return PolylogEval(1.0, 0.0, z, s)
+        return MzvEval(1.0, 0.0)
     if z == 0.0:
-        return PolylogEval(0.0, 0.0, z, s)
-    value, err = _suffix_polylogs(s, z, tail, cap)[0]
-    return PolylogEval(value, err, z, s)
+        return MzvEval(0.0, 0.0)
+    return MzvEval(*_suffix_polylogs(s, z, tail, cap)[0])
 
 
 def eval_polylog(
@@ -503,11 +482,10 @@ def eval_polylog(
     z: float,
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
-) -> PolylogEval:
+) -> MzvEval:
     """Single-variable multiple polylogarithm via its power series, 0 <= z < 1."""
     s = tuple(s)
-    if any(not isinstance(p, int) or p < 1 for p in s):
-        raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
+    _validate_parts(s)
     _check_polylog_args(z, precision)
     ev = _polylog(s, z, precision / 2, summation_cap(max_n))
     _require(ev.abs_error, precision, f"polylog {s} at z={z}")
@@ -519,7 +497,7 @@ def eval_arborified_polylog(
     z: float,
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
-) -> PolylogEval:
+) -> MzvEval:
     """Arborified polylogarithm of a semiconvergent binary forest."""
     _check_polylog_args(z, precision)
     comb = _as_comb(forest_or_comb)
@@ -528,15 +506,11 @@ def eval_arborified_polylog(
             raise NotSemiconvergent(f"forest {forest!r} is not semiconvergent")
     words = flatten(comb, 0)
     if words.is_zero():
-        return PolylogEval(0.0, 0.0, z, ())
+        return MzvEval(0.0, 0.0)
     cap = summation_cap(max_n)
     # The tails of all terms together take at most half the budget.
     tail = precision / (2.0 * float(sum(abs(c) for _, c in words.items())))
-    terms = []
-    for w, coeff in words.sorted_items():
-        if not is_semiconvergent_word(w):
-            raise NotSemiconvergent(f"flattening produced non-semiconvergent {w!r}")
-        terms.append((coeff, _polylog(debinarise(w).letters, z, tail, cap)))
+    terms = [(coeff, _polylog(debinarise(w).letters, z, tail, cap)) for w, coeff in words.sorted_items()]
     total, err = _combine(terms)
     _require(err, precision, f"arborified polylog at z={z}")
-    return PolylogEval(total, err, z, ())
+    return MzvEval(total, err)

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -69,6 +70,30 @@ def test_all_raises_a_suite_error_in_the_caller(monkeypatch, cpus):
     with pytest.raises(DomainError) as info:
         run_suite("all", 3, 1e-6)
     assert str(info.value) == message
+
+
+def test_all_ends_the_other_suites_on_an_error(monkeypatch, tmp_path):
+    """The first suite raises; the suites running or queued beside it never finish."""
+    first, *rest = SUITES
+
+    def broken(bound, precision):
+        raise DomainError("broken first suite")
+
+    def marker(name):
+        def suite(bound, precision):
+            time.sleep(1.0)
+            (tmp_path / name).touch()
+            return []
+
+        return suite
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setitem(SUITES, first, broken)
+    for name in rest:
+        monkeypatch.setitem(SUITES, name, marker(name))
+    with pytest.raises(DomainError, match="^broken first suite$"):
+        run_suite("all", 3, 1e-6)
+    assert not list(tmp_path.iterdir())
 
 
 def test_check_reports_a_worker_error_as_a_domain_error(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from arbozeta import syntax
 from arbozeta.catalog import forests_with_vertices
 from arbozeta.cli import main
 from arbozeta.errors import ParseError
+from arbozeta.forest_algebra import flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
 from arbozeta.words import Word, word
@@ -37,6 +39,30 @@ class TestGrammar:
         comb = syntax.parse_lincomb("3/2*2[1] - 4")
         assert comb.coefficient(tree_forest(b_plus(2, tree_forest(leaf(1))))) == 1.5
         assert comb.coefficient(tree_forest(leaf(4))) == -1
+
+    def test_lincomb_repeats_and_cancellation(self):
+        assert syntax.parse_lincomb("2 + 3 - 2") == LinComb.of(tree_forest(leaf(3)))
+        comb = syntax.parse_lincomb("1/2*2 + 3 + 1/2*2 - 3[1]")
+        assert dict(comb.items()) == {
+            tree_forest(leaf(2)): 1,
+            tree_forest(leaf(3)): 1,
+            tree_forest(b_plus(3, tree_forest(leaf(1)))): -1,
+        }
+        assert all(type(c) is int for _, c in comb.items())
+        summed = LinComb.zero()
+        for forest, coeff in comb.items():
+            summed = summed + flatten_forest(forest, 1).scale(coeff)
+        assert flatten(comb, 1) == summed
+
+    def test_long_sum_parses_and_flattens_in_linear_time(self):
+        # Built by repeated +, which copies the whole dict each time, this was quadratic.
+        text = " + ".join(str(k) for k in range(1, 20001))
+        start = time.perf_counter()
+        comb = syntax.parse_lincomb(text)
+        words = flatten(comb, 1)
+        assert time.perf_counter() - start < 10.0
+        assert len(comb) == len(words) == 20000
+        assert words.coefficient(word([20000])) == 1
 
     def test_mixing_bases_rejected(self):
         with pytest.raises(ParseError):
@@ -127,6 +153,8 @@ _NUMPY_FREE_CALLS = [
     (["eval", "1[2]"], 3),
     (["polylog", "(2)", "--z", "1.5"], 3),
     (["eval", "2[1]", "--precision", "nan"], 3),
+    (["eval", "2 2"], 0),
+    (["polylog", "(2,1)", "--z", "0.9"], 0),
 ]
 
 _IMPORT_GUARD = """
@@ -345,21 +373,25 @@ class TestCli:
         assert code == 3
         assert "error" in err
 
-    def test_env_cap_override(self, monkeypatch):
+    def test_cap_override(self):
         from arbozeta.zeta import clear_mzv_cache
 
         clear_mzv_cache()
-        monkeypatch.setenv("ARBOZETA_MAX_N", "8")
-        code, _, err = run_cli("eval", "--flavor", "stuffle", "2[1,1]")
+        code, _, err = run_cli("eval", "--flavor", "stuffle", "2[1,1]", "--max-n", "8")
         assert code == 3
         assert "error" in err
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     @pytest.mark.parametrize("argv", [("eval", "2 2"), ("polylog", "(2)", "--z", "0.5")])
-    def test_malformed_env_cap_is_domain_error(self, monkeypatch, value, argv):
-        monkeypatch.setenv("ARBOZETA_MAX_N", value)
-        code, out, err = run_cli(*argv)
-        assert code == 3
-        assert err.startswith("error:") and "ARBOZETA_MAX_N" in err
-        assert f"must be a positive integer, got {value!r}" in err
+    def test_malformed_cap_is_refused(self, capsys, value, argv):
+        """argparse refuses a non-integer cap (exit 2); the evaluator refuses one below 1 (exit 3)."""
+        try:
+            code = main([*argv, f"--max-n={value}"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if value in ("0", "-3"):
+            assert (code, err) == (3, f"error: summation cap must be positive, got {value}\n")
+        else:
+            assert code == 2 and f"argument --max-n: invalid int value: {value!r}" in err
         assert "Traceback" not in err and not out

@@ -23,7 +23,9 @@ from arbozeta.zeta import (
     eval_polylog,
     reduce_azv,
     star_to_strict,
+    words_to_combination,
 )
+from arbozeta.words import word
 
 mp.mp.dps = 30
 
@@ -254,8 +256,7 @@ class TestPrecisionArgument:
         with pytest.raises(PrecisionUnreachable):
             eval_polylog((3,), 0.5, 1e-17)
 
-    def test_nonpositive_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("ARBOZETA_MAX_N", "100")
+    def test_nonpositive_cap_rejected(self):
         with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
             eval_polylog((3,), 0.5, 1e-10, max_n=0)
 
@@ -366,6 +367,38 @@ class TestEvalCombination:
         ev = eval_combination(comb, 1e-8)
         want = 1000000 * float(mp.zeta(2)) - float(mp.zeta(3))
         assert abs(ev.value - want) <= ev.abs_error <= 1e-8
+
+    @pytest.mark.parametrize("index", [(2, 0), (2, 1.5), (1, 2)])
+    def test_bad_index_refused_when_built(self, index):
+        with pytest.raises(DivergentIndex):
+            MzvCombination({index: 1})
+        with pytest.raises(DivergentIndex):
+            MzvCombination({(3,): 1, index: 2}, "star")
+
+    def test_unknown_flavor_refused_when_built(self):
+        with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+            MzvCombination({(2,): 1}, "bogus")
+
+    def test_zero_coefficient_refused_when_built(self):
+        with pytest.raises(ValueError, match="zero coefficient"):
+            MzvCombination({(2,): 0})
+
+    def test_divergent_word_refused(self):
+        with pytest.raises(DivergentIndex):
+            words_to_combination(LinComb.of(word([1, 2])), "strict")
+        with pytest.raises(DivergentIndex):
+            words_to_combination(LinComb.of(word("yy")), "strict")
+
+    @pytest.mark.parametrize("flavor", ["strict", "star"])
+    def test_eval_mzv_is_a_one_term_combination(self, flavor):
+        """Wrapping one index with coefficient 1 changes neither the value nor the bound."""
+        for s in [(), (2,), (3,), (2, 1), (2, 2), (3, 1, 2), (2, 1, 1, 1), (4, 1, 1)]:
+            ev = eval_mzv(s, flavor)
+            comb = eval_combination(MzvCombination({s: 1}, flavor))
+            assert (ev.value, ev.abs_error) == (comb.value, comb.abs_error)
+            if s:
+                kernel = zeta._mzv(s, flavor, zeta.DEFAULT_MAX_N)
+                assert (ev.value, ev.abs_error) == (kernel.value, kernel.abs_error)
 
 
 class TestBruteForceAzv:
