@@ -5,8 +5,8 @@ reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  ``--max-n`` caps the polylog
 horizon of ``eval`` and ``polylog``.
 
-Only ``check`` loads numpy and the identity suites; every other verb
-loads neither, since the series kernel behind ``eval`` and ``polylog``
+Only ``check`` loads the identity suites; every other verb runs on the
+exact core and on the series kernel behind ``eval`` and ``polylog``, which
 works in fixed point at 2^-128 in Python ints.  On a 2-vCPU shared VM,
 with ``PYTHONDONTWRITEBYTECODE=1`` and no cached bytecode, ``parse "2[1]"``
 and ``eval "2[1]"`` each took 52 ms in a fresh process and

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 import os
 import random
+from array import array
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product as cartesian
+from itertools import accumulate, permutations, product as cartesian
+from operator import mul
 
 from . import syntax
 from .catalog import (
@@ -627,17 +629,13 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
             )
         )
 
-    count = 0
-    while count < 50:
+    for count in range(50):
         w1 = rng.randint(2, max_weight - 2)
         w2 = rng.randint(2, max(2, max_weight - w1))
         f1 = random_convergent_forest(rng, w1)
         f2 = random_convergent_forest(rng, w2)
         flavor, lam = rng.choice((("stuffle", 1), ("star", -1), ("shuffle", 0)))
-        if flavor == "shuffle":
-            a, b = binarise_forest(f1), binarise_forest(f2)
-        else:
-            a, b = f1, f2
+        a, b = (binarise_forest(f1), binarise_forest(f2)) if flavor == "shuffle" else (f1, f2)
         sh = shuffle_forests_basis(a, b, lam)
         lhs = azv(sh, flavor, precision)
         rhs = azv(a, flavor, precision).value * azv(b, flavor, precision).value
@@ -650,19 +648,14 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
                 tol,
             )
         )
-        count += 1
 
     for i in range(8):
         f1 = random_convergent_forest(rng, rng.randint(2, 4))
         f2 = random_convergent_forest(rng, rng.randint(2, 4))
         lam = rng.choice((1, -1))
-        flavor = "stuffle" if lam == 1 else "star"
-        lhs = eval_words(flatten(shuffle_forests_basis(f1, f2, lam), lam), "strict" if lam == 1 else "star", precision)
-        rhs = eval_words(
-            shuffle_words(flatten_forest(f1, lam), flatten_forest(f2, lam), lam),
-            "strict" if lam == 1 else "star",
-            precision,
-        )
+        mzv_flavor = "strict" if lam == 1 else "star"
+        lhs = eval_words(flatten(shuffle_forests_basis(f1, f2, lam), lam), mzv_flavor, precision)
+        rhs = eval_words(shuffle_words(flatten_forest(f1, lam), flatten_forest(f2, lam), lam), mzv_flavor, precision)
         out.append(
             _numeric(
                 "morphisms",
@@ -895,9 +888,7 @@ def suite_worked_identity(bound: int, precision: float) -> list[dict]:
             max(precision * 4, 1e-8),
         )
     )
-    bracket = eval_combination(
-        MzvCombination({(2, 2, 2): 6, (2, 4): 3, (4, 2): 3, (6,): 1}), precision
-    )
+    bracket = eval_combination(MzvCombination({(2, 2, 2): 6, (2, 4): 3, (4, 2): 3, (6,): 1}), precision)
     z2 = eval_mzv((2,), "strict", precision)
     base = eval_combination(MzvCombination({(2, 2): 2, (4,): 1}), precision)
     out.append(
@@ -923,18 +914,11 @@ def suite_worked_identity(bound: int, precision: float) -> list[dict]:
     return out
 
 
-def _falling(p: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= p - i
-    return out
-
-
 def _integral_tail(b: int, p: int, n: int) -> float:
     """Integral from n to infinity of x^(-b) ln(x)^p dx, exact, for b > 1."""
     ln = math.log(n)
     return sum(
-        _falling(p, j) / (b - 1) ** (j + 1) * n ** (1 - b) * ln ** (p - j) for j in range(p + 1)
+        math.perm(p, j) / (b - 1) ** (j + 1) * n ** (1 - b) * ln ** (p - j) for j in range(p + 1)
     )
 
 
@@ -951,6 +935,27 @@ def _em_tail_upper(b: int, p: int, n: int) -> float:
     return abs(est) + err
 
 
+# brute_force_azv's memo, (tree, flavor, horizon) -> terms at m = 1..horizon.
+_TREE_TERMS: dict[tuple[Tree, str, int], array] = {}
+
+
+def _tree_terms(tree: Tree, flavor: str, horizon: int) -> array:
+    """Terms of the nested sum of ``tree`` at its root variable m = 1..horizon:
+    m^-d times, for each child, the child's running sum below (stuffle) or up
+    to (star) m."""
+    key = (tree, flavor, horizon)
+    terms = _TREE_TERMS.get(key)
+    if terms is None:
+        terms = [m ** -tree.decoration for m in range(1, horizon + 1)]
+        for child in tree.children:
+            sums = accumulate(_tree_terms(child, flavor, horizon), initial=0.0)
+            if flavor == "star":
+                next(sums)
+            terms = list(map(mul, terms, sums))
+        terms = _TREE_TERMS[key] = array("d", terms)
+    return terms
+
+
 def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> MzvEval:
     """Direct nested summation over the tree structure, truncated at ``horizon``.
 
@@ -961,19 +966,6 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
     """
     if flavor not in ("stuffle", "star"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    star = flavor == "star"
-    import numpy as np
-
-    ns = np.arange(1, horizon + 1, dtype=np.longdouble)
-
-    def tree_array(tree):
-        out = ns ** (-tree.decoration)
-        for child in tree.children:
-            prefix = np.cumsum(tree_array(child))
-            if not star:
-                prefix = np.concatenate((np.zeros(1, dtype=np.longdouble), prefix[:-1]))
-            out = out * prefix
-        return out
 
     def log_tail(exponent: int, vertices: int, start: int) -> float:
         # sum_{n >= start} n^-exponent (1+ln n)^(vertices-1), via binomial expansion
@@ -987,16 +979,13 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
     tail_bounds = []
     full_bounds = []
     for tree in forest.trees:
-        arr = tree_array(tree)
-        values.append(float(arr.sum()))
+        values.append(math.fsum(_tree_terms(tree, flavor, horizon)))
         tail_bounds.append(log_tail(tree.decoration, tree.vertex_count, horizon + 1))
         full_bounds.append(1.0 + log_tail(tree.decoration, tree.vertex_count, 2))
     value = math.prod(values)
     err = 0.0
     for i, tail in enumerate(tail_bounds):
-        err += tail * math.prod(
-            full_bounds[j] for j in range(len(values)) if j != i
-        )
+        err += tail * math.prod(full_bounds[:i] + full_bounds[i + 1 :])
     return MzvEval(value, err)
 
 
@@ -1006,30 +995,37 @@ def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:
     Realizes the branched integration directly on truncated power series:
     the x-vertex divides by t and integrates, the y-vertex convolves with the
     geometric series (prefix sums) and integrates.  Completely independent of
-    the flattening/reduction path.
+    the flattening/reduction path.  A series is held as its lowest degree and
+    the coefficients from there up to degree ``terms - 1``.
     """
-    import numpy as np
 
-    def tree_series(tree: Tree) -> np.ndarray:
-        series = np.zeros(terms)
-        series[0] = 1.0
+    def times(a, b):
+        (low_a, ca), (low_b, cb) = a, b
+        low, rb, last = low_a + low_b, cb[::-1], len(cb) - 1
+        size = min(len(ca) + last, terms - low)
+        return low, [sum(map(mul, ca[max(0, k - last) : k + 1], rb[max(0, last - k) :])) for k in range(size)]
+
+    def tree_series(tree: Tree):
+        series = (0, [1.0])
         for child in tree.children:
-            series = np.convolve(series, tree_series(child))[:terms]
-        if tree.decoration == "y":
-            series = np.cumsum(series)
-            out = np.zeros(terms)
-            out[1:] = series[:-1] / np.arange(1, terms)
-            return out
-        out = np.zeros(terms)
-        out[1:] = series[1:] / np.arange(1, terms)
-        return out
+            series = times(series, tree_series(child))
+        low, coeffs = series
+        if tree.decoration == "y":  # times 1/(1 - t), then one degree up
+            n = terms - low - 1
+            coeffs = list(accumulate((coeffs + [0.0] * n)[:n]))
+            low += 1
+        elif low == 0:  # divided by t, the constant term drops
+            low, coeffs = 1, coeffs[1:]
+        return low, [c / degree for degree, c in enumerate(coeffs, low)]
 
-    total = np.zeros(terms)
-    total[0] = 1.0
+    total = (0, [1.0])
     for tree in forest.trees:
-        total = np.convolve(total, tree_series(tree))[:terms]
-    zpow = np.power(z, np.arange(terms))
-    return float(np.dot(total, zpow))
+        total = times(total, tree_series(tree))
+    low, coeffs = total
+    value = 0.0
+    for c in reversed(coeffs):  # Horner
+        value = value * z + c
+    return value * z**low
 
 
 def suite_polylog(bound: int, precision: float) -> list[dict]:
@@ -1141,6 +1137,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _named_report(name: str, bound: int, precision: float) -> tuple[str, list[dict]]:
+    return name, run_suite(name, bound, precision)
+
+
 def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
     """Report entries of one suite, or of every suite of ``SUITES`` for ``"all"``.
 
@@ -1158,14 +1158,15 @@ def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
             return [entry for suite in SUITES.values() for entry in suite(bound, precision)]
         # Imported here: the pool modules take 10-20 ms to import, which the
         # other callers of this module should not pay.  Forked workers inherit
-        # the loaded modules instead of importing arbozeta and numpy again.
+        # the loaded modules instead of importing arbozeta again.
         from multiprocessing import get_context
 
-        # Leaving the block terminates the workers, so an error ends the suites
-        # still running or queued instead of waiting for them.
+        # Reports are collected as they finish, so an error reaches the caller
+        # at once; leaving the block then terminates the workers, ending the
+        # suites still running or queued instead of waiting for them.
         with get_context("fork").Pool(workers) as pool:
-            reports = pool.imap(partial(run_suite, bound=bound, precision=precision), SUITES)
-            return [entry for report in reports for entry in report]
+            reports = dict(pool.imap_unordered(partial(_named_report, bound=bound, precision=precision), SUITES))
+        return [entry for name in SUITES for entry in reports[name]]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
     return SUITES[name](bound, precision)

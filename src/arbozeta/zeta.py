@@ -41,9 +41,6 @@ correctly rounded int-to-float division.  Before that division it lies below
 the truncated series by at most (2/(1 - z) L^k + N L^(k-1) + L E_v) 2^-P
 <= (k + 2/(1 - z)) (N + 1) L^k 2^-P, which is :func:`_roundoff`.  At the MZV
 horizons (N = 64 or 128, weight <= 14) that is below 1e-25.
-
-This module imports no numpy; only the ``check`` oracles in
-:mod:`arbozeta.suites` use it.
 """
 from __future__ import annotations
 
@@ -107,15 +104,17 @@ class MzvEval:
 class MzvCombination:
     """Exact rational combination of composition-indexed zeta values.
 
-    The one check of zeta indexes: integer parts >= 1 and a first part >= 2.
+    The one check of flavors and zeta indexes: integer parts >= 1, a first part >= 2.
     """
 
     terms: dict[Composition, Coeff] = field(default_factory=dict)
     flavor: str = "strict"
 
     def __post_init__(self):
+        if self.flavor not in ("strict", "star"):
+            raise ValueError(f"unknown flavor {self.flavor!r}")
         for index, coeff in self.terms.items():
-            _validate_index(index, self.flavor)
+            _validate_index(index)
             if not coeff:
                 raise ValueError("zero coefficient stored in combination")
 
@@ -134,9 +133,7 @@ def _validate_parts(s: Composition):
         raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
 
 
-def _validate_index(s: Composition, flavor: str):
-    if flavor not in ("strict", "star"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+def _validate_index(s: Composition):
     _validate_parts(s)
     if s and s[0] < 2:
         raise DivergentIndex(f"series diverges for first part {s[0]}")
@@ -445,7 +442,7 @@ def azv(
 def star_to_strict(s) -> MzvCombination:
     """Star value as the sum of strict values over all adjacent-part merges."""
     s = tuple(s)
-    _validate_index(s, "star")
+    _validate_index(s)
     if not s:
         return MzvCombination({(): 1}, "strict")
     terms: dict[Composition, Coeff] = {}

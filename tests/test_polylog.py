@@ -60,6 +60,20 @@ class TestArborifiedPolylog:
         with pytest.raises(NotSemiconvergent):
             eval_arborified_polylog(tree_forest(leaf("x")), 0.5)
 
+    @pytest.mark.parametrize(
+        "forest,want",
+        [
+            (tree_forest(leaf("y")), math.log(2)),
+            (tree_forest(b_plus("y", tree_forest(leaf("y")))), math.log(2) ** 2 / 2),
+            (tree_forest(b_plus("x", tree_forest(leaf("y")))), math.pi**2 / 12 - math.log(2) ** 2 / 2),
+            (tree_forest(leaf("y"), leaf("y")), math.log(2) ** 2),
+        ],
+        ids=["y", "y[y]", "x[y]", "y y"],
+    )
+    def test_series_oracle_closed_forms_at_half(self, forest, want):
+        # ln 2, ln^2(2)/2, Li_2(1/2) = pi^2/12 - ln^2(2)/2 and ln^2(2)
+        assert abs(brute_polylog_forest(forest, 0.5) - want) <= 1e-15
+
     def test_against_series_oracle(self):
         for forest in forests_up_to(4, ("x", "y"), include_empty=False):
             if not convergence_class(forest, Alphabet.XY).is_semiconvergent:

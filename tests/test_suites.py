@@ -96,6 +96,31 @@ def test_all_ends_the_other_suites_on_an_error(monkeypatch, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_all_reports_a_late_error_before_the_earlier_suites_finish(monkeypatch, tmp_path):
+    """``theorem5`` raises at once; its error arrives while a suite before it still runs."""
+    names = list(SUITES)
+    earlier = names[: names.index("theorem5")]
+
+    def broken(bound, precision):
+        raise DomainError("broken theorem5")
+
+    def marker(name, seconds):
+        def suite(bound, precision):
+            time.sleep(seconds)
+            (tmp_path / name).touch()
+            return []
+
+        return suite
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: 2)
+    monkeypatch.setitem(SUITES, "theorem5", broken)
+    for name in earlier:
+        monkeypatch.setitem(SUITES, name, marker(name, 2.0 if name == earlier[-1] else 0.05))
+    with pytest.raises(DomainError, match="^broken theorem5$"):
+        run_suite("all", 3, 1e-6)
+    assert len(list(tmp_path.iterdir())) < len(earlier)
+
+
 def test_check_reports_a_worker_error_as_a_domain_error(monkeypatch, capsys):
     message = _break_a_suite(monkeypatch, 2)
     assert cli.main(["check", "--suite", "all", "--weight-bound", "3"]) == cli.EXIT_DOMAIN_ERROR

@@ -357,6 +357,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["2", "False", "True"]
 
+    @pytest.mark.parametrize("suite", ["reduction-vs-series", "polylog"])
+    def test_check_oracles_run_without_numpy(self, suite):
+        # A fresh interpreter in which any import of numpy fails.
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import arbozeta.cli\n"
+            f"sys.exit(arbozeta.cli.main(['check', '--suite', {suite!r}]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_deterministic_output(self):
         first = run_cli("shuffle-trees", "2 2", "2", "--lambda", "1")
         second = run_cli("shuffle-trees", "2 2", "2", "--lambda", "1")

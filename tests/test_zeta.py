@@ -1,8 +1,8 @@
 import math
 from functools import cache
+from itertools import accumulate
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from arbozeta import zeta
@@ -32,14 +32,15 @@ mp.mp.dps = 30
 
 def brute_mzv(s, horizon, star=False):
     """Reference nested summation, independent of the evaluator's tail models."""
-    ns = np.arange(1, horizon + 1, dtype=np.float64)
-    cur = ns ** float(-s[-1])
-    for j in range(len(s) - 2, -1, -1):
-        pre = np.cumsum(cur)
-        if not star:
-            pre = np.concatenate(([0.0], pre[:-1]))
-        cur = ns ** float(-s[j]) * pre
-    return float(cur.sum())
+    ns = range(1, horizon + 1)
+    cur = [n ** -s[-1] for n in ns]
+    for part in reversed(s[:-1]):
+        # the sums of the inner terms below n (strict) or up to n (star)
+        pre = accumulate(cur, initial=0.0)
+        if star:
+            next(pre)
+        cur = [n**-part * inner for n, inner in zip(ns, pre)]
+    return math.fsum(cur)
 
 
 CLOSED_FORMS = {
@@ -351,6 +352,8 @@ class TestEvalCombination:
     def test_empty_is_zero(self):
         ev = eval_combination(MzvCombination({}))
         assert ev.value == 0.0
+        ev = eval_combination(MzvCombination({}, "strict"))
+        assert (ev.value, ev.abs_error) == (0.0, 0.0)
 
     def test_unit_term(self):
         ev = eval_combination(MzvCombination({(): 1}))
@@ -378,6 +381,8 @@ class TestEvalCombination:
     def test_unknown_flavor_refused_when_built(self):
         with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
             MzvCombination({(2,): 1}, "bogus")
+        with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+            MzvCombination({}, "bogus")
 
     def test_zero_coefficient_refused_when_built(self):
         with pytest.raises(ValueError, match="zero coefficient"):
@@ -420,4 +425,15 @@ class TestBruteForceAzv:
             total += harmonic**2 / n**2
             harmonic += 1.0 / n
         via_arrays = brute_force_azv(tree, 3999, "stuffle")
+        assert abs(via_arrays.value - total) < 1e-12
+
+    def test_literal_nested_loops_star(self):
+        # corolla 2[1,1]: star series sum_n n^-2 * (H_n)^2, the inner sums inclusive
+        tree = tree_forest(Tree(2, (leaf(1), leaf(1))))
+        total = 0.0
+        harmonic = 0.0
+        for n in range(1, 4000):
+            harmonic += 1.0 / n
+            total += harmonic**2 / n**2
+        via_arrays = brute_force_azv(tree, 3999, "star")
         assert abs(via_arrays.value - total) < 1e-12
