@@ -2,8 +2,12 @@
 
 Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
-checks, 2 parse error, 3 domain error.  ``--max-n`` caps the polylog
-horizon of ``eval`` and ``polylog``.
+checks, 2 parse error, 3 domain error.  Brackets deeper than
+``syntax.MAX_NESTING`` (100) are a parse error; a zeta or polylog index, a
+word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256) is a
+domain error, raised before any work.  ``--max-n`` caps the polylog
+horizon of ``eval`` and ``polylog``.  Every verb but ``check`` computes one
+value, which ``syntax.render`` prints as text or JSON.
 
 Only ``check`` loads the identity suites; every other verb runs on the
 exact core and on the series kernel behind ``eval`` and ``polylog``, which
@@ -47,14 +51,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _to_comb(expr, kind) -> LinComb:
-    if isinstance(expr, kind):
-        return LinComb.of(expr)
-    if isinstance(expr, LinComb):
-        for basis in expr:
-            if not isinstance(basis, kind):
-                raise ParseError(f"expected a {kind.__name__.lower()} expression")
-        return expr
-    raise ParseError(f"expected a {kind.__name__.lower()} expression")
+    comb = _as_comb(expr)
+    if not all(isinstance(basis, kind) for basis in comb):
+        raise ParseError(f"expected a {kind.__name__.lower()} expression")
+    return comb
 
 
 def _forest_comb(text: str) -> LinComb[Forest]:
@@ -66,20 +66,6 @@ def _word_comb(text: str) -> LinComb[Word]:
     if isinstance(expr, Forest) and not expr:
         expr = Word()
     return _to_comb(expr, Word)
-
-
-def _emit_lincomb(comb: LinComb, as_json: bool):
-    if as_json:
-        print(syntax.dumps(syntax.lincomb_to_json(comb)))
-    else:
-        print(syntax.format_lincomb(comb))
-
-
-def _emit_eval(ev, as_json: bool):
-    if as_json:
-        print(syntax.dumps(syntax.eval_to_json(ev)))
-    else:
-        print(syntax.format_eval(ev))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,93 +129,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _polylog(args):
+    expr = syntax.parse_expression(args.expr)
+    if isinstance(expr, Word):
+        return eval_polylog(expr.letters, args.z, args.precision, args.max_n)
+    return eval_arborified_polylog(_to_comb(expr, Forest), args.z, args.precision, args.max_n)
+
+
+def _single_forest(text: str) -> Forest:
+    forest = syntax.parse_expression(text)
+    if not isinstance(forest, Forest):
+        raise ParseError("associator arguments must be single forests")
+    return forest
+
+
+# What each verb but check computes: a LinComb, an MzvCombination or an MzvEval.
+_VERBS = {
+    "parse": lambda a: _as_comb(syntax.parse_expression(a.expr)),
+    "shuffle-words": lambda a: shuffle_words(_word_comb(a.left), _word_comb(a.right), a.lam),
+    "shuffle-trees": lambda a: shuffle_forests(_forest_comb(a.left), _forest_comb(a.right), a.lam),
+    "flatten": lambda a: flatten(_forest_comb(a.expr), a.lam),
+    "binarize": lambda a: _word_comb(a.expr).map_basis(binarise),
+    "binarize-tree": lambda a: binarise_comb(_forest_comb(a.expr)),
+    "reduce": lambda a: reduce_azv(_forest_comb(a.expr), a.flavor),
+    "eval": lambda a: eval_combination(reduce_azv(_forest_comb(a.expr), a.flavor), a.precision, a.max_n),
+    "polylog": _polylog,
+    "associator": lambda a: associator(*map(_single_forest, (a.first, a.second, a.third)), a.lam),
+}
+
+
+def _check(args) -> int:
+    from . import suites
+
+    try:
+        report = suites.run_suite(args.suite, args.weight_bound, args.precision)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    failed = sum(1 for item in report if not item["pass"])
+    if args.json:
+        print(syntax.dumps(report))
+    else:
+        for item in report:
+            status = "PASS" if item["pass"] else "FAIL"
+            print(f"[{status}] {item['suite']}: {item['instance']}")
+        print(f"{len(report) - failed}/{len(report)} checks passed")
+    return EXIT_CHECK_FAILED if failed else 0
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    as_json = args.json
-
-    if args.verb == "parse":
-        _emit_lincomb(_as_comb(syntax.parse_expression(args.expr)), as_json)
-        return 0
-
-    if args.verb == "shuffle-words":
-        result = shuffle_words(_word_comb(args.left), _word_comb(args.right), args.lam)
-        _emit_lincomb(result, as_json)
-        return 0
-
-    if args.verb == "shuffle-trees":
-        result = shuffle_forests(_forest_comb(args.left), _forest_comb(args.right), args.lam)
-        _emit_lincomb(result, as_json)
-        return 0
-
-    if args.verb == "flatten":
-        result = flatten(_forest_comb(args.expr), args.lam)
-        _emit_lincomb(result, as_json)
-        return 0
-
-    if args.verb == "binarize":
-        result = _word_comb(args.expr).map_basis(binarise)
-        _emit_lincomb(result, as_json)
-        return 0
-
-    if args.verb == "binarize-tree":
-        result = binarise_comb(_forest_comb(args.expr))
-        _emit_lincomb(result, as_json)
-        return 0
-
-    if args.verb == "reduce":
-        combination = reduce_azv(_forest_comb(args.expr), args.flavor)
-        if as_json:
-            print(syntax.dumps(syntax.combination_to_json(combination)))
-        else:
-            print(syntax.format_combination(combination))
-        return 0
-
-    if args.verb == "eval":
-        combination = reduce_azv(_forest_comb(args.expr), args.flavor)
-        ev = eval_combination(combination, args.precision, args.max_n)
-        _emit_eval(ev, as_json)
-        return 0
-
-    if args.verb == "polylog":
-        expr = syntax.parse_expression(args.expr)
-        if isinstance(expr, Word):
-            ev = eval_polylog(expr.letters, args.z, args.precision, args.max_n)
-        else:
-            comb = _to_comb(expr, Forest)
-            ev = eval_arborified_polylog(comb, args.z, args.precision, args.max_n)
-        _emit_eval(ev, as_json)
-        return 0
-
-    if args.verb == "associator":
-        forests = []
-        for text in (args.first, args.second, args.third):
-            forest = syntax.parse_expression(text)
-            if not isinstance(forest, Forest):
-                raise ParseError("associator arguments must be single forests")
-            forests.append(forest)
-        result = associator(*forests, args.lam)
-        _emit_lincomb(result, as_json)
-        return 0
-
     if args.verb == "check":
-        from . import suites
-
-        try:
-            report = suites.run_suite(args.suite, args.weight_bound, args.precision)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        if as_json:
-            print(syntax.dumps(report))
-        else:
-            for item in report:
-                status = "PASS" if item["pass"] else "FAIL"
-                print(f"[{status}] {item['suite']}: {item['instance']}")
-            failed = sum(1 for item in report if not item["pass"])
-            print(f"{len(report) - failed}/{len(report)} checks passed")
-        return EXIT_CHECK_FAILED if any(not item["pass"] for item in report) else 0
-
-    raise AssertionError(f"unhandled verb {args.verb}")
+        return _check(args)
+    print(syntax.render(_VERBS[args.verb](args), args.json))
+    return 0
 
 
 def main(argv=None) -> int:

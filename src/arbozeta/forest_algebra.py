@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import NotInImage, SemigroupRequired
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest, Tree, _canonical, concat_forests, merge_alphabets
-from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec
+from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec, check_weight
 
 ForestComb = LinComb[Forest]
 WordComb = LinComb[Word]
@@ -159,15 +159,23 @@ def clear_forest_caches():
 
 # -- branched binarisation ----------------------------------------------------
 
-def binarise_tree(tree: Tree) -> Tree:
-    """Vertex decorated n becomes a chain of n-1 x's over a y carrying the children."""
-    dec = tree.decoration
-    if not isinstance(dec, int) or dec < 1:
-        raise SemigroupRequired("branched binarisation needs positive-integer decorations")
-    node = Tree._unchecked("y", _canonical(tuple(map(binarise_tree, tree.children))))
-    for _ in range(dec - 1):
+def _binarised(tree: Tree) -> Tree:
+    node = Tree._unchecked("y", _canonical(tuple(map(_binarised, tree.children))))
+    for _ in range(tree.decoration - 1):
         node = Tree._unchecked("x", (node,))
     return node
+
+
+def binarise_tree(tree: Tree) -> Tree:
+    """Vertex decorated n becomes a chain of n-1 x's over a y carrying the children.
+
+    The weight bound is checked first, so the result and the recursion are at
+    most MAX_WEIGHT levels deep.
+    """
+    if tree.alphabet is not Alphabet.POSINT:
+        raise SemigroupRequired("branched binarisation needs positive-integer decorations")
+    check_weight(tree.weight(), "tree to binarise")
+    return _binarised(tree)
 
 
 def binarise_forest(forest: Forest) -> Forest:

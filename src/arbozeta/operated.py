@@ -263,38 +263,27 @@ def cumsum_strict(seq: TruncSeq) -> TruncSeq:
     return TruncSeq._new(tuple(accumulate(seq.nums, initial=0))[:-1], seq.den)
 
 
-def strict_sum_model(horizon: int = 12) -> OperatorModel:
+def _sum_model(name: str, op: Callable, weight: int, horizon: int) -> OperatorModel:
     return OperatorModel(
-        name="strict-sum",
+        name=name,
         one=TruncSeq.ones(horizon),
-        op=cumsum_strict,
+        op=op,
         embed=lambda n: TruncSeq.power(n, horizon),
-        weight=1,
+        weight=weight,
     )
+
+
+def strict_sum_model(horizon: int = 12) -> OperatorModel:
+    return _sum_model("strict-sum", cumsum_strict, 1, horizon)
 
 
 def nonstrict_sum_model(horizon: int = 12) -> OperatorModel:
-    return OperatorModel(
-        name="nonstrict-sum",
-        one=TruncSeq.ones(horizon),
-        op=cumsum_inclusive,
-        embed=lambda n: TruncSeq.power(n, horizon),
-        weight=-1,
-    )
+    return _sum_model("nonstrict-sum", cumsum_inclusive, -1, horizon)
 
 
 def broken_sum_model(horizon: int = 12) -> OperatorModel:
     """Negative control: a constant offset destroys the Rota-Baxter identity."""
-    def op(seq: TruncSeq) -> TruncSeq:
-        return cumsum_strict(seq) + TruncSeq.ones(horizon)
-
-    return OperatorModel(
-        name="broken-sum",
-        one=TruncSeq.ones(horizon),
-        op=op,
-        embed=lambda n: TruncSeq.power(n, horizon),
-        weight=1,
-    )
+    return _sum_model("broken-sum", lambda seq: cumsum_strict(seq) + TruncSeq.ones(horizon), 1, horizon)
 
 
 # -- rational polynomials --------------------------------------------------------

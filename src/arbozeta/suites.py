@@ -74,6 +74,7 @@ from .words import (
     shuffle_words_basis,
 )
 from .zeta import (
+    FLAVORS,
     MzvCombination,
     MzvEval,
     azv,
@@ -593,14 +594,13 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
     tol = max(precision * 100, 1e-6)
     max_weight = max(4, bound + 2)
 
-    for flavor, lam, star in (("stuffle", 1, False), ("star", -1, True), ("shuffle", 0, False)):
+    for flavor, (lam, mzv_flavor) in FLAVORS.items():
         for i in range(12):
             u = Word(random_composition(rng, rng.randint(2, max_weight - 2)))
             v = Word(random_composition(rng, rng.randint(2, max_weight - u.weight())))
             if flavor == "shuffle":
                 u, v = binarise(u), binarise(v)
             sh = shuffle_words_basis(u, v, lam)
-            mzv_flavor = "star" if star else "strict"
             lhs = eval_words(sh, mzv_flavor, precision)
             ev_u = eval_words(LinComb.of(u), mzv_flavor, precision)
             ev_v = eval_words(LinComb.of(v), mzv_flavor, precision)
@@ -634,7 +634,8 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
         w2 = rng.randint(2, max(2, max_weight - w1))
         f1 = random_convergent_forest(rng, w1)
         f2 = random_convergent_forest(rng, w2)
-        flavor, lam = rng.choice((("stuffle", 1), ("star", -1), ("shuffle", 0)))
+        flavor = rng.choice(list(FLAVORS))
+        lam, _ = FLAVORS[flavor]
         a, b = (binarise_forest(f1), binarise_forest(f2)) if flavor == "shuffle" else (f1, f2)
         sh = shuffle_forests_basis(a, b, lam)
         lhs = azv(sh, flavor, precision)
@@ -652,8 +653,7 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
     for i in range(8):
         f1 = random_convergent_forest(rng, rng.randint(2, 4))
         f2 = random_convergent_forest(rng, rng.randint(2, 4))
-        lam = rng.choice((1, -1))
-        mzv_flavor = "strict" if lam == 1 else "star"
+        lam, mzv_flavor = FLAVORS[rng.choice(("stuffle", "star"))]
         lhs = eval_words(flatten(shuffle_forests_basis(f1, f2, lam), lam), mzv_flavor, precision)
         rhs = eval_words(shuffle_words(flatten_forest(f1, lam), flatten_forest(f2, lam), lam), mzv_flavor, precision)
         out.append(
@@ -673,7 +673,7 @@ def suite_associator_kernel(bound: int, precision: float) -> list[dict]:
     rng = random.Random(RNG_SEED + 1)
     tol = max(precision * 100, 1e-6)
     max_weight = max(6, bound + 2)
-    for flavor, lam in (("stuffle", 1), ("star", -1), ("shuffle", 0)):
+    for flavor, (lam, _) in FLAVORS.items():
         for i in range(25):
             budget = max_weight
             weights = []

@@ -13,7 +13,8 @@ Grammar::
 ``2[1,3[2]]`` is the tree with root 2 over a leaf 1 and a chain 3-2.
 Brackets may nest at most ``MAX_NESTING`` deep; deeper input is a
 ``ParseError``, raised before any recursion in the parser or in the
-algorithms that walk a tree can run out of stack.
+algorithms that walk a tree can run out of stack.  :func:`render` is the
+one printer of the command line's results.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .lincomb import Coeff, LinComb
+from .lincomb import LinComb
 from .trees import Forest, Tree
 from .words import Word
 from .zeta import MzvCombination, MzvEval
@@ -241,18 +242,9 @@ def parse_lincomb(text: str) -> LinComb:
 
 def parse_expression(text: str):
     """Forest, word, or linear combination, whichever the text denotes."""
-    stripped = text.strip()
-    if not stripped:
-        return Forest()
-    if stripped.startswith(("(", '"')):
-        parser = _Parser(stripped)
-        w = parser.parse_word()
-        if parser.done():
-            return w
-    parser = _Parser(stripped)
-    comb = parser.parse_lincomb()
+    comb = parse_lincomb(text)
     if len(comb) == 1:
-        [(basis, coeff)] = list(comb.items())
+        [(basis, coeff)] = comb.items()
         if coeff == 1:
             return basis
     return comb
@@ -283,41 +275,29 @@ def format_basis(basis) -> str:
     return format_word(basis)
 
 
-def format_coeff(coeff: Coeff) -> str:
-    return str(coeff)
+def _signed_sum(terms) -> str:
+    """Text of a sum of (text, coefficient) terms; "0" when there is none."""
+    parts = []
+    for text, coeff in terms:
+        if coeff == 1:
+            parts.append(text)
+        elif coeff == -1:
+            parts.append(f"-{text}")
+        else:
+            parts.append(f"{coeff}*{text}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def format_lincomb(comb: LinComb) -> str:
-    if comb.is_zero():
-        return "0"
-    parts = []
-    for basis, coeff in comb.sorted_items():
-        text = format_basis(basis)
-        if coeff == 1:
-            piece = text
-        elif coeff == -1:
-            piece = f"-{text}"
-        else:
-            piece = f"{format_coeff(coeff)}*{text}"
-        parts.append(piece)
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    return _signed_sum((format_basis(basis), coeff) for basis, coeff in comb.sorted_items())
 
 
 def format_combination(comb: MzvCombination) -> str:
-    if not comb.terms:
-        return "0"
     tag = "zs" if comb.flavor == "star" else "z"
-    parts = []
-    for index, coeff in comb.sorted_items():
-        body = "1" if not index else f"{tag}({','.join(map(str, index))})"
-        if coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{format_coeff(coeff)}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return _signed_sum(
+        (f"{tag}({','.join(map(str, index))})" if index else "1", coeff)
+        for index, coeff in comb.sorted_items()
+    )
 
 
 def format_eval(ev: MzvEval) -> str:
@@ -333,35 +313,10 @@ def forest_to_json(forest: Forest) -> list:
     return [tree_to_json(t) for t in forest.trees]
 
 
-def word_to_json(w: Word) -> dict:
-    return {"letters": list(w.letters)}
-
-
 def basis_to_json(basis):
     if isinstance(basis, Forest):
         return forest_to_json(basis)
-    return word_to_json(basis)
-
-
-def lincomb_to_json(comb: LinComb) -> list:
-    return [
-        {"coeff": format_coeff(coeff), "basis": basis_to_json(basis)}
-        for basis, coeff in comb.sorted_items()
-    ]
-
-
-def combination_to_json(comb: MzvCombination) -> dict:
-    return {
-        "flavor": comb.flavor,
-        "terms": [
-            {"coeff": format_coeff(c), "index": list(index)}
-            for index, c in comb.sorted_items()
-        ],
-    }
-
-
-def eval_to_json(ev) -> dict:
-    return {"value": ev.value, "abs_error": ev.abs_error}
+    return {"letters": list(basis.letters)}
 
 
 def tree_from_json(data: dict) -> Tree:
@@ -375,3 +330,23 @@ def forest_from_json(data: list) -> Forest:
 
 def dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=False)
+
+
+# -- the one printer of CLI results ----------------------------------------------
+
+def render(value, as_json: bool = False) -> str:
+    """A LinComb, an MzvCombination or an MzvEval as text, or as JSON when ``as_json``."""
+    if isinstance(value, MzvEval):
+        if not as_json:
+            return format_eval(value)
+        data = {"value": value.value, "abs_error": value.abs_error}
+    elif isinstance(value, MzvCombination):
+        if not as_json:
+            return format_combination(value)
+        terms = [{"coeff": str(c), "index": list(index)} for index, c in value.sorted_items()]
+        data = {"flavor": value.flavor, "terms": terms}
+    else:
+        if not as_json:
+            return format_lincomb(value)
+        data = [{"coeff": str(c), "basis": basis_to_json(basis)} for basis, c in value.sorted_items()]
+    return dumps(data)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable
 
-from .errors import NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
+from .errors import DomainError, NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
 from .lincomb import Coeff, LinComb, _as_comb, _norm
 from .trees import Alphabet, Decoration, _set, _Value, alphabet_of, decoration_key, merge_alphabets
 
@@ -177,16 +177,24 @@ def is_semiconvergent_word(w: Word) -> bool:
 
 # -- binarisation ------------------------------------------------------------
 
+# The heaviest zeta or polylog index, and word or tree to binarise, that is
+# accepted; a binarised word or tree has at most this many letters or levels.
+MAX_WEIGHT = 256
+
+
+def check_weight(weight: int, what: str) -> None:
+    """Refuse a ``what`` heavier than MAX_WEIGHT, before any work on it starts."""
+    if weight > MAX_WEIGHT:
+        raise DomainError(f"{what} of weight {weight} is above the weight bound {MAX_WEIGHT}")
+
+
 def binarise(w: Word | Iterable[int]) -> Word:
     """Composition (n1..nk) -> binary word x^(n1-1) y ... x^(nk-1) y."""
     parts = w.letters if isinstance(w, Word) else tuple(w)
-    letters: list[str] = []
-    for part in parts:
-        if not isinstance(part, int) or part < 1:
-            raise UnsupportedAlphabet("binarisation needs positive-integer letters")
-        letters.extend("x" * (part - 1))
-        letters.append("y")
-    return Word._unchecked(tuple(letters))
+    if any(not isinstance(part, int) or part < 1 for part in parts):
+        raise UnsupportedAlphabet("binarisation needs positive-integer letters")
+    check_weight(sum(parts), "word to binarise")
+    return Word._unchecked(tuple("".join("x" * (part - 1) + "y" for part in parts)))
 
 
 def debinarise(b: Word) -> Word:

@@ -59,7 +59,7 @@ from .errors import (
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest
-from .words import Word, binarise, debinarise
+from .words import Word, binarise, check_weight, debinarise
 
 Composition = tuple[int, ...]
 
@@ -104,7 +104,8 @@ class MzvEval:
 class MzvCombination:
     """Exact rational combination of composition-indexed zeta values.
 
-    The one check of flavors and zeta indexes: integer parts >= 1, a first part >= 2.
+    The one check of flavors and zeta indexes: integer parts >= 1, a first
+    part >= 2 and a weight of at most ``words.MAX_WEIGHT``.
     """
 
     terms: dict[Composition, Coeff] = field(default_factory=dict)
@@ -131,6 +132,7 @@ class MzvCombination:
 def _validate_parts(s: Composition):
     if any(not isinstance(p, int) or p < 1 for p in s):
         raise DivergentIndex(f"composition parts must be integers >= 1: {s}")
+    check_weight(sum(s), "index")
 
 
 def _validate_index(s: Composition):
@@ -176,7 +178,10 @@ def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
         + sum(math.log(p / (p - 1)) for p in inner if p > 1)
         - math.log1p(-ratio)
     )
-    return math.exp(log_tail)
+    try:
+        return math.exp(log_tail)
+    except OverflowError:
+        return math.inf
 
 
 def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, float]:
@@ -195,7 +200,10 @@ def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, floa
 
 def _roundoff(depth: int, z: float, n: int) -> float:
     """Bound on the fixed-point error of one truncated Li_u(z), len(u) = ``depth`` (module docstring)."""
-    return (depth + 2.0 / (1.0 - z)) * (n + 1) * (1.0 + math.log(n)) ** depth * 2.0**-P
+    try:
+        return (depth + 2.0 / (1.0 - z)) * (n + 1) * (1.0 + math.log(n)) ** depth * 2.0**-P
+    except OverflowError:
+        return math.inf
 
 
 def _suffixes(s: Composition) -> list[Composition]:
@@ -388,6 +396,10 @@ def words_to_combination(words: LinComb[Word], flavor: str) -> MzvCombination:
     return MzvCombination({index: c for index, c in terms.items() if c}, flavor)
 
 
+# Arborified flavor -> (weight lambda of its flattening, flavor of the zeta values it reduces to).
+FLAVORS = {"stuffle": (1, "strict"), "star": (-1, "star"), "shuffle": (0, "strict")}
+
+
 def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     """Exact reduction of an arborified zeta value to a zeta combination.
 
@@ -398,15 +410,15 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     as they cancel.
     """
     comb = _as_comb(comb)
-    if flavor not in ("stuffle", "star", "shuffle"):
+    if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     required = ConvergenceClass.CONV_XY if flavor == "shuffle" else ConvergenceClass.CONV_POSINT
     alphabet = Alphabet.XY if flavor == "shuffle" else Alphabet.POSINT
     for forest in comb:
         if convergence_class(forest, alphabet) is not required:
             raise NonConvergent(f"forest {forest!r} is not convergent for {flavor}")
-    lam = {"stuffle": 1, "star": -1, "shuffle": 0}[flavor]
-    result = words_to_combination(flatten(comb, lam), "star" if flavor == "star" else "strict")
+    lam, mzv_flavor = FLAVORS[flavor]
+    result = words_to_combination(flatten(comb, lam), mzv_flavor)
     if comb.all_integer() and not result.all_integer():
         raise ArithmeticError("integer input reduced to non-integer coefficients")
     return result

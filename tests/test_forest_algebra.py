@@ -6,7 +6,7 @@ from arbozeta.catalog import (
     forests_up_to_weight,
     linear_extension_count,
 )
-from arbozeta.errors import NotInImage, SemigroupRequired
+from arbozeta.errors import DomainError, NotInImage, SemigroupRequired
 from arbozeta.forest_algebra import (
     ConvergenceClass,
     associator,
@@ -34,7 +34,7 @@ from arbozeta.trees import (
     leaf,
     tree_forest,
 )
-from arbozeta.words import Word, shuffle_words, word
+from arbozeta.words import MAX_WEIGHT, Word, shuffle_words, word
 
 
 class TestFlatten:
@@ -202,6 +202,18 @@ class TestBranchedBinarisation:
             assert debinarise_forest(image) == forest
             conv = convergence_class(forest) is ConvergenceClass.CONV_POSINT
             assert (convergence_class(image, Alphabet.XY) is ConvergenceClass.CONV_XY) == conv
+
+    def test_weight_bounded(self):
+        chain = ladder([MAX_WEIGHT - 1, 1])
+        assert binarise_forest(chain).vertex_count == MAX_WEIGHT
+        heavy = Tree(MAX_WEIGHT, (leaf(1),))
+        with pytest.raises(DomainError, match="^tree to binarise of weight 257 "):
+            binarise_tree(heavy)
+        with pytest.raises(DomainError, match="^tree to binarise of weight 257 "):
+            binarise_forest(concat_forests(chain, tree_forest(heavy)))
+        assert binarise_forest(concat_forests(chain, chain)).vertex_count == 2 * MAX_WEIGHT
+        with pytest.raises(SemigroupRequired):
+            binarise_forest(tree_forest(leaf("x")))
 
     def test_rejects_off_image(self):
         with pytest.raises(NotInImage):

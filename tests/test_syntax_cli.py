@@ -4,17 +4,19 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from arbozeta import syntax
 from arbozeta.catalog import forests_with_vertices
 from arbozeta.cli import main
-from arbozeta.errors import ParseError
+from arbozeta.errors import AlphabetMismatch, ParseError
 from arbozeta.forest_algebra import flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import Word, word
+from arbozeta.words import MAX_WEIGHT, Word, word
+from arbozeta.zeta import MzvCombination, MzvEval
 
 
 class TestGrammar:
@@ -126,6 +128,117 @@ class TestGrammar:
         forest = tree_forest(b_plus(2, tree_forest(leaf(1), leaf(3))))
         data = syntax.forest_to_json(forest)
         assert syntax.forest_from_json(data) == forest
+
+
+# (text, value) of parse_expression, with the values of the last release of the
+# two-pass parser that tried a word before a combination.
+_EXPRESSIONS = [
+    ("(2,1)", word([2, 1])),
+    ('"xy"', word("xy")),
+    ("()", Word()),
+    ('""', Word()),
+    ("  (2)  ", word([2])),
+    ("2[1,3[2]] 2", Forest((leaf(2), b_plus(2, tree_forest(leaf(1), b_plus(3, tree_forest(leaf(2)))))))),
+    ("x[y]", tree_forest(b_plus("x", tree_forest(leaf("y"))))),
+    ("2,2", Forest((leaf(2), leaf(2)))),
+    ("", Forest()),
+    ("   ", Forest()),
+    ("1*2[1]", tree_forest(b_plus(2, tree_forest(leaf(1))))),
+    ("2[1] - 3", LinComb([(tree_forest(b_plus(2, tree_forest(leaf(1)))), 1), (tree_forest(leaf(3)), -1)])),
+    ("1/2*(2) + (3)", LinComb([(word([2]), Fraction(1, 2)), (word([3]), 1)])),
+    ("2 - 2", LinComb()),
+    ("3*2", LinComb.of(tree_forest(leaf(2)), 3)),
+    ("-(2,1)", LinComb.of(word([2, 1]), -1)),
+    ("-", LinComb.of(Forest(), -1)),
+    ("2 +", LinComb([(tree_forest(leaf(2)), 1), (Forest(), 1)])),
+]
+
+_MALFORMED = [
+    ("(2,1", ParseError, "expected ')', got None"),
+    ("2[", ParseError, "expected ']', got None"),
+    ("2]", ParseError, "trailing input at ']'"),
+    ("abc", ParseError, "unexpected character 'a'"),
+    ("2[0]", ParseError, "decoration must be >= 1, got 0"),
+    ("1/0*2", ParseError, "zero denominator in 1/0"),
+    ('2[1] + "xy"', ParseError, "cannot mix forests and words in one combination"),
+    ("(2) 3", ParseError, "trailing input at '3'"),
+    ("(2)(3)", ParseError, "trailing input at '('"),
+    ("(x,1)", AlphabetMismatch, "mixed alphabets xy and posint"),
+]
+
+
+class TestParseExpression:
+    @pytest.mark.parametrize("text,value", _EXPRESSIONS, ids=[t for t, _ in _EXPRESSIONS])
+    def test_value(self, text, value):
+        got = syntax.parse_expression(text)
+        assert type(got) is type(value) and got == value
+
+    @pytest.mark.parametrize("text,error,message", _MALFORMED, ids=[t for t, _, _ in _MALFORMED])
+    def test_malformed(self, text, error, message):
+        with pytest.raises(error) as info:
+            syntax.parse_expression(text)
+        assert str(info.value) == message
+
+
+# (value, text, JSON) of syntax.render, as the CLI printed them before render existed.
+_RENDERED = [
+    (LinComb(), "0", []),
+    (
+        syntax.parse_lincomb("3*2[1] - 2 2 + 1/2*1 - 5/3*3[2,1]"),
+        "1/2*1 - 2 2 + 3*2[1] - 5/3*3[1,2]",
+        [
+            {"coeff": "1/2", "basis": [{"d": 1, "c": []}]},
+            {"coeff": "-1", "basis": [{"d": 2, "c": []}, {"d": 2, "c": []}]},
+            {"coeff": "3", "basis": [{"d": 2, "c": [{"d": 1, "c": []}]}]},
+            {"coeff": "-5/3", "basis": [{"d": 3, "c": [{"d": 1, "c": []}, {"d": 2, "c": []}]}]},
+        ],
+    ),
+    (LinComb.of(Forest(), -1), "-()", [{"coeff": "-1", "basis": []}]),
+    (
+        syntax.parse_lincomb("-(2,1) + 2/3*(3) + ()"),
+        "() - (2,1) + 2/3*(3)",
+        [
+            {"coeff": "1", "basis": {"letters": []}},
+            {"coeff": "-1", "basis": {"letters": [2, 1]}},
+            {"coeff": "2/3", "basis": {"letters": [3]}},
+        ],
+    ),
+    (
+        syntax.parse_lincomb('"xy" - 1/2*"y"'),
+        '"xy" - 1/2*"y"',
+        [{"coeff": "1", "basis": {"letters": ["x", "y"]}}, {"coeff": "-1/2", "basis": {"letters": ["y"]}}],
+    ),
+    (
+        MzvCombination({(2, 2): 2, (4,): 1}, "strict"),
+        "2*z(2,2) + z(4)",
+        {"flavor": "strict", "terms": [{"coeff": "2", "index": [2, 2]}, {"coeff": "1", "index": [4]}]},
+    ),
+    (
+        MzvCombination({(2, 1): Fraction(-1, 2), (): 3, (3,): -1}, "star"),
+        "3*1 - 1/2*zs(2,1) - zs(3)",
+        {
+            "flavor": "star",
+            "terms": [
+                {"coeff": "3", "index": []},
+                {"coeff": "-1/2", "index": [2, 1]},
+                {"coeff": "-1", "index": [3]},
+            ],
+        },
+    ),
+    (MzvCombination({}, "star"), "0", {"flavor": "star", "terms": []}),
+    (
+        MzvEval(1.2020569031595942, 2.5e-12),
+        "1.2020569032 ± 2.5e-12",
+        {"value": 1.2020569031595942, "abs_error": 2.5e-12},
+    ),
+    (MzvEval(-0.5, 0.0), "-0.5000000000 ± 0", {"value": -0.5, "abs_error": 0.0}),
+]
+
+
+@pytest.mark.parametrize("value,text,data", _RENDERED, ids=[str(i) for i in range(len(_RENDERED))])
+def test_render(value, text, data):
+    assert syntax.render(value) == syntax.render(value, False) == text
+    assert syntax.render(value, True) == json.dumps(data, indent=2)
 
 
 def run_cli(*argv):
@@ -407,3 +520,78 @@ class TestCli:
         else:
             assert code == 2 and f"argument --max-n: invalid int value: {value!r}" in err
         assert "Traceback" not in err and not out
+
+
+def _ladder(decoration, depth):
+    return f"{decoration}[" * depth + "1" + "]" * depth
+
+
+# Each ran out of range, recursion or memory before the weight bound.
+_HEAVY_CALLS = [
+    ["eval", "400"],
+    ["eval", "1600"],
+    ["eval", "257", "--json"],
+    ["reduce", "257"],
+    ["polylog", f"({MAX_WEIGHT + 1})", "--z", "0.5"],
+    ["binarize", f"({MAX_WEIGHT + 1})"],
+    ["binarize-tree", "500"],
+    ["binarize-tree", _ladder(4, 100)],
+]
+
+# The same, each of which allocated up to 1 GB or more before it failed.
+_MEMORY_CALLS = [
+    ["eval", "100000"],
+    ["eval", "1000000"],
+    ["eval", "99999999999999999999"],
+    ["polylog", "(1000000)", "--z", "0.5"],
+    ["binarize", "(100000000)"],
+]
+
+_LIMITED = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import arbozeta.cli
+
+report = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = arbozeta.cli.main(argv)
+    report.append((code, err.getvalue(), time.perf_counter() - start))
+print(json.dumps(report))
+"""
+
+
+class TestWeightBound:
+    @pytest.mark.parametrize("argv", _HEAVY_CALLS, ids=lambda argv: " ".join(argv)[:30])
+    def test_heavy_input_is_domain_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and f"above the weight bound {MAX_WEIGHT}" in err
+
+    def test_heavy_input_in_bounded_memory(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED, json.dumps(_MEMORY_CALLS)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for argv, (code, err, seconds) in zip(_MEMORY_CALLS, json.loads(proc.stdout)):
+            assert code == 3 and f"above the weight bound {MAX_WEIGHT}" in err, argv
+            assert seconds < 1.0, argv
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_binarisations_at_the_bound(self, as_json):
+        json_flag = ["--json"] if as_json else []
+        code, out, _ = run_cli("binarize", f"({MAX_WEIGHT})", *json_flag)
+        assert code == 0 and out.count("x") == MAX_WEIGHT - 1
+        code, out, _ = run_cli("binarize-tree", f"{MAX_WEIGHT}", *json_flag)
+        assert code == 0 and out.count("x") == MAX_WEIGHT - 1
+        code, out, _ = run_cli("binarize-tree", _ladder(2, 100), *json_flag)
+        assert code == 0 and out.count("x") == 100
+
+    def test_unreachable_precision_at_the_bound(self):
+        code, _, err = run_cli("eval", f"{MAX_WEIGHT}")
+        assert code == 3 and "certified error" in err

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from arbozeta.errors import (
     AlphabetMismatch,
+    DomainError,
     InvalidDecoration,
     NotSemiconvergent,
     SemigroupRequired,
@@ -13,6 +14,7 @@ from arbozeta.errors import (
 from arbozeta.lincomb import LinComb
 from arbozeta.words import (
     EMPTY_WORD,
+    MAX_WEIGHT,
     Word,
     binarise,
     concat_words,
@@ -152,6 +154,11 @@ class TestBinarisation:
         assert binarise(word([2, 1])) == word("xyy")
         assert binarise(EMPTY_WORD) == EMPTY_WORD
         assert binarise(word([3, 2])) == word("xxyxy")
+
+    def test_weight_bounded(self):
+        assert len(binarise((MAX_WEIGHT,))) == MAX_WEIGHT
+        with pytest.raises(DomainError, match="^word to binarise of weight 257 is above the weight bound 256$"):
+            binarise((100, 100, 57))
 
     def test_debinarise_examples(self):
         assert debinarise(word("xyy")) == word([2, 1])

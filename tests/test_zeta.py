@@ -25,7 +25,7 @@ from arbozeta.zeta import (
     star_to_strict,
     words_to_combination,
 )
-from arbozeta.words import word
+from arbozeta.words import MAX_WEIGHT, word
 
 mp.mp.dps = 30
 
@@ -192,6 +192,11 @@ class TestFixedPointKernel:
         assert not (zeta._TABLES or zeta._ZPOWERS or zeta._WEIGHTS or zeta._LEVELS)
         clear_mzv_cache()
 
+    def test_bounds_past_float_range_are_infinite(self):
+        # (1 + ln 64)^1000 and the tail majorant of (1, 1^1598) at n = 1024 both overflow a float.
+        assert zeta._roundoff(1000, 0.5, 64) == math.inf
+        assert zeta._tail_bound(1, (1,) * 1598, 0.5, 1024) == math.inf
+
     def test_clear_empties_kernel_memos(self):
         eval_mzv((3, 1, 2), "star", 1e-10)
         eval_polylog((2, 1), 0.9, 1e-10)
@@ -256,6 +261,17 @@ class TestPrecisionArgument:
     def test_polylog_below_floor_fails(self):
         with pytest.raises(PrecisionUnreachable):
             eval_polylog((3,), 0.5, 1e-17)
+
+    def test_index_weight_bounded(self):
+        heavy = (2,) + (1,) * (MAX_WEIGHT - 1)
+        for index in [(MAX_WEIGHT + 1,), heavy]:
+            with pytest.raises(DomainError, match=f"^index of weight {sum(index)} is above the weight bound"):
+                eval_mzv(index, "strict")
+            with pytest.raises(DomainError):
+                eval_polylog(index, 0.5)
+            with pytest.raises(DomainError):
+                MzvCombination({index: 1}, "star")
+        assert MzvCombination({(MAX_WEIGHT,): 1}).terms == {(MAX_WEIGHT,): 1}
 
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
