@@ -4,8 +4,9 @@ Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  Brackets deeper than
 ``syntax.MAX_NESTING`` (100) are a parse error; a zeta or polylog index, a
-word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256) is a
-domain error, raised before any work.  ``--max-n`` caps the polylog
+word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), and
+a star value of an index with more than ``words.MAX_STAR_PARTS`` (13) parts
+are domain errors, raised before any work.  ``--max-n`` caps the polylog
 horizon of ``eval`` and ``polylog``.  Every verb but ``check`` computes one
 value, which ``syntax.render`` prints as text or JSON.
 

@@ -90,16 +90,11 @@ def _graft_into(sums: dict, dec, comb: ForestComb, coeff: Coeff):
         sums[key] = sums.get(key, 0) + c * coeff
 
 
-def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff, redistribute: bool = True) -> ForestComb:
-    """The tree lambda-shuffle on validated forests, memoized.
-
-    ``redistribute=False`` drops the 1/(k*n) factor of the rule for proper
-    forests: the unnormalized companion product that one suite compares with
-    the published associator.
-    """
+def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
+    """The tree lambda-shuffle on validated forests, memoized."""
     if not a or not b:
         return LinComb._unchecked({a or b: 1})
-    key = (a, b, lam) if redistribute else (a, b, lam, False)
+    key = (a, b, lam)
     cached = _TREE_SHUFFLE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -107,12 +102,12 @@ def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff, redistribute: bool = Tru
     if a.is_tree() and b.is_tree():
         ta, tb = a.trees[0], b.trees[0]
         fa, fb = Forest._unchecked(ta.children), Forest._unchecked(tb.children)
-        _graft_into(sums, ta.decoration, _tree_shuffle_rec(fa, b, lam, redistribute), 1)
-        _graft_into(sums, tb.decoration, _tree_shuffle_rec(a, fb, lam, redistribute), 1)
+        _graft_into(sums, ta.decoration, _tree_shuffle_rec(fa, b, lam), 1)
+        _graft_into(sums, tb.decoration, _tree_shuffle_rec(a, fb, lam), 1)
         if lam:
             # The semigroup product of positive-integer decorations is their sum.
             contracted = ta.decoration + tb.decoration
-            _graft_into(sums, contracted, _tree_shuffle_rec(fa, fb, lam, redistribute), lam)
+            _graft_into(sums, contracted, _tree_shuffle_rec(fa, fb, lam), lam)
     else:
         k, n = len(a.trees), len(b.trees)
         for i in range(k):
@@ -120,16 +115,12 @@ def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff, redistribute: bool = Tru
             for j in range(n):
                 rest = rest_a + b.trees[:j] + b.trees[j + 1 :]
                 pair = _tree_shuffle_rec(
-                    Forest._unchecked(a.trees[i : i + 1]),
-                    Forest._unchecked(b.trees[j : j + 1]),
-                    lam,
-                    redistribute,
+                    Forest._unchecked(a.trees[i : i + 1]), Forest._unchecked(b.trees[j : j + 1]), lam
                 )
                 for f, c in pair.items():
                     key_f = Forest._unchecked(_canonical(f.trees + rest))
                     sums[key_f] = sums.get(key_f, 0) + c
-        if redistribute:
-            sums = {f: Fraction(c, k * n) for f, c in sums.items()}
+        sums = {f: Fraction(c, k * n) for f, c in sums.items()}
     out = LinComb._unchecked(sums)
     _TREE_SHUFFLE_CACHE[key] = out
     return out

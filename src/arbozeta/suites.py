@@ -1,8 +1,9 @@
 """Named identity suites: every structural law the library claims, checked at
 desk scale with pass/fail reporting.
 
-Each suite returns a list of report entries
-``{suite, instance, lhs, rhs, residual, tolerance, pass}`` of three kinds:
+Each suite yields report entries ``{instance, lhs, rhs, residual, tolerance,
+pass}``, and :func:`run_suite` puts the suite's name first as ``suite``.
+The entries are of three kinds:
 
 - an exact family (``_family``) checks one law on every case; lhs and rhs
   read ``exact``, the residual counts the failing cases and the instance
@@ -20,6 +21,7 @@ import math
 import os
 import random
 from array import array
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, permutations, product as cartesian
@@ -50,7 +52,6 @@ from .forest_algebra import (
     flatten_forest,
     shuffle_forests,
     shuffle_forests_basis,
-    _tree_shuffle_rec,
 )
 from .lincomb import LinComb
 from .operated import (
@@ -92,9 +93,8 @@ RNG_SEED = 0x5EED
 LAMBDAS = (-1, 0, 1)
 
 
-def _entry(suite, instance, lhs, rhs, residual, tolerance):
+def _entry(instance, lhs, rhs, residual, tolerance):
     return {
-        "suite": suite,
         "instance": instance,
         "lhs": lhs,
         "rhs": rhs,
@@ -126,7 +126,7 @@ def _first_failure(failing, describe=_describe) -> str:
     return f"; first failure: {describe(failing[0])}" if failing else ""
 
 
-def _family(suite, law, cases, holds, describe=_describe):
+def _family(law, cases, holds, describe=_describe):
     """One report entry for an exhaustive exact law: ``holds(case)`` over every case.
 
     The instance text carries the number of cases and, on failure, the first
@@ -135,20 +135,20 @@ def _family(suite, law, cases, holds, describe=_describe):
     cases = list(cases)
     failing = [case for case in cases if not holds(case)]
     instance = f"{law} [{len(cases)} instances]" + _first_failure(failing, describe)
-    return _entry(suite, instance, "exact", "exact", float(len(failing)), 0.0)
+    return _entry(instance, "exact", "exact", float(len(failing)), 0.0)
 
 
-def _tally(suite, law, cases, fails, lhs=0.0, describe=_describe):
+def _tally(law, cases, fails, lhs=0.0, describe=_describe):
     """One report entry for a numeric family whose residual is its number of failing cases.
 
     ``fails(case)`` decides each case; the instance text names the first
     failing case through ``describe``.
     """
     failing = [case for case in cases if fails(case)]
-    return _entry(suite, law + _first_failure(failing, describe), lhs, 0.0, float(len(failing)), 0.0)
+    return _entry(law + _first_failure(failing, describe), lhs, 0.0, float(len(failing)), 0.0)
 
 
-def _worst_gap(suite, law, gaps, tolerance, describe=_describe):
+def _worst_gap(law, gaps, tolerance, describe=_describe):
     """One report entry for a numeric family whose residual is its worst gap.
 
     ``gaps`` maps each case to its gap; ``law`` is formatted with the worst
@@ -157,7 +157,7 @@ def _worst_gap(suite, law, gaps, tolerance, describe=_describe):
     """
     worst = max(gaps.values(), default=0.0)
     failing = [case for case, gap in gaps.items() if gap > tolerance]
-    return _entry(suite, law.format(worst=worst) + _first_failure(failing, describe), worst, 0.0, worst, tolerance)
+    return _entry(law.format(worst=worst) + _first_failure(failing, describe), worst, 0.0, worst, tolerance)
 
 
 def _pairs(items, size, limit):
@@ -196,8 +196,8 @@ def _graded(pair, lam, product, grade) -> bool:
     return all(grade(t) == want for t in product(*pair, lam))
 
 
-def _numeric(suite, instance, lhs, rhs, tolerance):
-    return _entry(suite, instance, lhs, rhs, abs(lhs - rhs), tolerance)
+def _numeric(instance, lhs, rhs, tolerance):
+    return _entry(instance, lhs, rhs, abs(lhs - rhs), tolerance)
 
 
 def eval_words(comb: LinComb[Word], flavor: str, precision: float):
@@ -207,9 +207,7 @@ def eval_words(comb: LinComb[Word], flavor: str, precision: float):
 # -- combinatorial suites ----------------------------------------------------------
 
 
-def suite_word_shuffle(bound: int, precision: float) -> list[dict]:
-    del precision
-    out = []
+def suite_word_shuffle(bound: int, precision: float) -> Iterator[dict]:
     max_len = max(2, bound - 1)
     words_12 = [w for n in range(max_len + 1) for w in words_with_length(n, (1, 2))]
     pairs = list(_pairs(words_12, len, max_len))
@@ -224,8 +222,8 @@ def suite_word_shuffle(bound: int, precision: float) -> list[dict]:
 
     for lam in LAMBDAS:
         commutes = partial(_commutes, lam=lam, product=shuffle_words_basis)
-        out.append(_family("word-shuffle", f"commutativity lambda={lam}", ordered, commutes))
-        out.append(_family("word-shuffle", f"associativity lambda={lam}", triples, partial(associates, lam=lam)))
+        yield _family(f"commutativity lambda={lam}", ordered, commutes)
+        yield _family(f"associativity lambda={lam}", triples, partial(associates, lam=lam))
 
     def binomial_terms(pair):
         u, v = pair
@@ -234,47 +232,58 @@ def suite_word_shuffle(bound: int, precision: float) -> list[dict]:
         return sh.coefficient_sum() == math.comb(length, len(u)) and all(len(t) == length for t in sh)
 
     nonempty = [(u, v) for u, v in pairs if u and v]
-    out.append(_family("word-shuffle", "shuffle term count = binomial, lengths add", nonempty, binomial_terms))
+    yield _family("shuffle term count = binomial, lengths add", nonempty, binomial_terms)
 
     for lam in (-1, 1):
         graded = partial(_graded, lam=lam, product=shuffle_words_basis, grade=Word.weight)
-        out.append(_family("word-shuffle", f"weight conservation lambda={lam}", pairs, graded))
+        yield _family(f"weight conservation lambda={lam}", pairs, graded)
 
     def closed(pair):
         return all(is_convergent_word(t) for lam in LAMBDAS for t in shuffle_words_basis(*pair, lam))
 
     convergent = [(u, v) for u, v in pairs if is_convergent_word(u) and is_convergent_word(v)]
-    out.append(_family("word-shuffle", "convergent words closed under shuffles", convergent, closed))
-    return out
+    yield _family("convergent words closed under shuffles", convergent, closed)
+
+
+def _companion(a: Forest, b: Forest) -> LinComb:
+    """The tree shuffle at lambda=0 without the 1/(k*n) factor of its rule for
+    proper forests: the unnormalized companion product."""
+    if not a or not b:
+        return LinComb.of(concat_forests(a, b))
+    if not (a.is_tree() and b.is_tree()):
+        pairs = (
+            concat_comb(_companion(tree_forest(ta), tree_forest(tb)), concat_forests(a.without(i), b.without(j)))
+            for i, ta in enumerate(a.trees)
+            for j, tb in enumerate(b.trees)
+        )
+        return sum(pairs, LinComb.zero())
+    (ta,), (tb,) = a.trees, b.trees
+    left = _companion(tree_forest(*ta.children), b).map_basis(lambda f: tree_forest(b_plus(ta.decoration, f)))
+    right = _companion(a, tree_forest(*tb.children)).map_basis(lambda f: tree_forest(b_plus(tb.decoration, f)))
+    return left + right
 
 
 def _unnormalized_associator(f1: Forest, f2: Forest, f3: Forest) -> LinComb:
-    """Associator of the companion tree shuffle without the 1/(k*n) factor, lambda=0."""
-
-    def product(a: Forest, b: Forest) -> LinComb:
-        return _tree_shuffle_rec(a, b, 0, redistribute=False)
-
-    left = product(f1, f2).bilinear(LinComb.of(f3), product)
-    right = LinComb.of(f1).bilinear(product(f2, f3), product)
+    """Associator of the companion product."""
+    left = _companion(f1, f2).bilinear(LinComb.of(f3), _companion)
+    right = LinComb.of(f1).bilinear(_companion(f2, f3), _companion)
     return left - right
 
 
-def suite_tree_shuffle(bound: int, precision: float) -> list[dict]:
-    del precision
-    out = []
+def suite_tree_shuffle(bound: int, precision: float) -> Iterator[dict]:
     max_vertices = max(3, bound - 1)
     forests = list(forests_up_to(max_vertices - 1, (1, 2)))
     pairs = list(_pairs(forests, _vertex_count, max_vertices))
     for lam in LAMBDAS:
         commutes = partial(_commutes, lam=lam, product=shuffle_forests_basis)
-        out.append(_family("tree-shuffle", f"commutativity lambda={lam}", pairs, commutes))
+        yield _family(f"commutativity lambda={lam}", pairs, commutes)
 
     def is_unit(case):
         f, lam = case
         return shuffle_forests_basis(Forest(), f, lam) == LinComb.of(f) == shuffle_forests_basis(f, Forest(), lam)
 
     units = cartesian(forests[:40], LAMBDAS)
-    out.append(_family("tree-shuffle", "empty forest is the unit", units, is_unit, _with_lambda))
+    yield _family("empty forest is the unit", units, is_unit, _with_lambda)
 
     # Four-point nonassociativity witness (a b sh c) sh d - a b sh (c sh d).
     # The product-of-pairs part matches the published counterexample; the 1/kn
@@ -298,46 +307,34 @@ def suite_tree_shuffle(bound: int, precision: float) -> list[dict]:
             chain = b_plus(p, tree_forest(b_plus(q, tree_forest(leaf(r)))))
             deep = deep + LinComb.of(Forest((chain, leaf(v))))
     expected = products.scale(Fraction(1, 4)) - deep.scale(Fraction(1, 4))
-    out.append(
-        _family(
-            "tree-shuffle",
-            "four-point associator = 1/4 products - 1/4 deep trees",
-            ["a,b,c,d"],
-            lambda _: lhs == expected,
-        )
+    yield _family(
+        "four-point associator = 1/4 products - 1/4 deep trees",
+        ["a,b,c,d"],
+        lambda _: lhs == expected,
     )
 
     unnorm = _unnormalized_associator(ab, tree_forest(leaf(c)), tree_forest(leaf(d)))
-    out.append(
-        _family(
-            "tree-shuffle",
-            "unnormalized four-point associator = published product pairs",
-            ["a,b,c,d"],
-            lambda _: unnorm == products,
-        )
+    yield _family(
+        "unnormalized four-point associator = published product pairs",
+        ["a,b,c,d"],
+        lambda _: unnorm == products,
     )
 
     two = tree_forest(leaf(2))
-    out.append(
-        _family(
-            "tree-shuffle",
-            "stuffle associator of (2 2, 2, 2) is nonzero",
-            [(Forest((leaf(2), leaf(2))), two, two)],
-            lambda triple: not associator(*triple, 1).is_zero(),
-        )
+    yield _family(
+        "stuffle associator of (2 2, 2, 2) is nonzero",
+        [(Forest((leaf(2), leaf(2))), two, two)],
+        lambda triple: not associator(*triple, 1).is_zero(),
     )
 
     for lam in (-1, 1):
         graded = partial(_graded, lam=lam, product=shuffle_forests_basis, grade=Forest.weight)
-        out.append(_family("tree-shuffle", f"weight grading lambda={lam}", pairs, graded))
+        yield _family(f"weight grading lambda={lam}", pairs, graded)
     graded = partial(_graded, lam=0, product=shuffle_forests_basis, grade=_vertex_count)
-    out.append(_family("tree-shuffle", "size grading lambda=0", pairs, graded))
-    return out
+    yield _family("size grading lambda=0", pairs, graded)
 
 
-def suite_flatten(bound: int, precision: float) -> list[dict]:
-    del precision
-    out = []
+def suite_flatten(bound: int, precision: float) -> Iterator[dict]:
     max_vertices = max(3, bound - 2)
     forests = list(forests_up_to(max_vertices, (1, 2)))
     pairs = list(_pairs(forests, _vertex_count, max_vertices))
@@ -349,56 +346,38 @@ def suite_flatten(bound: int, precision: float) -> list[dict]:
         )
 
     for lam in LAMBDAS:
-        out.append(
-            _family("flatten", f"concatenation-to-shuffle morphism lambda={lam}", pairs, partial(morphism, lam=lam))
-        )
+        yield _family(f"concatenation-to-shuffle morphism lambda={lam}", pairs, partial(morphism, lam=lam))
 
     for lam in LAMBDAS:
-        out.append(
-            _family(
-                "flatten",
-                f"integer coefficients for integer lambda={lam}",
-                forests,
-                lambda f: flatten_forest(f, lam).all_integer(),
-            )
+        yield _family(
+            f"integer coefficients for integer lambda={lam}",
+            forests,
+            lambda f: flatten_forest(f, lam).all_integer(),
         )
 
-    out.append(
-        _family(
-            "flatten",
-            "ladders flatten to their words",
-            convergent_compositions_up_to(min(7, bound + 1)),
-            lambda comp: flatten_forest(ladder(comp), 1) == LinComb.of(Word(comp)),
-        )
+    yield _family(
+        "ladders flatten to their words",
+        convergent_compositions_up_to(min(7, bound + 1)),
+        lambda comp: flatten_forest(ladder(comp), 1) == LinComb.of(Word(comp)),
     )
 
-    out.append(
-        _family(
-            "flatten",
-            "convergent forests flatten to convergent words",
-            cartesian(_convergent_forests(4), LAMBDAS),
-            lambda case: all(is_convergent_word(w) for w in flatten_forest(*case)),
-            _with_lambda,
-        )
+    yield _family(
+        "convergent forests flatten to convergent words",
+        cartesian(_convergent_forests(4), LAMBDAS),
+        lambda case: all(is_convergent_word(w) for w in flatten_forest(*case)),
+        _with_lambda,
     )
-    return out
 
 
-def suite_linear_extensions(bound: int, precision: float) -> list[dict]:
-    del precision
-    return [
-        _family(
-            "linear-extensions",
-            "flatten(0) coefficient sum = number of linear extensions",
-            forests_up_to(min(7, bound + 1), (1,), include_empty=True),
-            lambda f: flatten_forest(f, 0).coefficient_sum() == linear_extension_count(f),
-        )
-    ]
+def suite_linear_extensions(bound: int, precision: float) -> Iterator[dict]:
+    yield _family(
+        "flatten(0) coefficient sum = number of linear extensions",
+        forests_up_to(min(7, bound + 1), (1,), include_empty=True),
+        lambda f: flatten_forest(f, 0).coefficient_sum() == linear_extension_count(f),
+    )
 
 
-def suite_binarisation(bound: int, precision: float) -> list[dict]:
-    del precision
-    out = []
+def suite_binarisation(bound: int, precision: float) -> Iterator[dict]:
     max_weight = min(7, bound + 1)
     compositions = [comp for w in range(max_weight + 1) for comp in compositions_of(w)]
 
@@ -411,22 +390,17 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
             and (is_convergent_word(bin_word) == is_convergent_word(Word(comp)))
         )
 
-    out.append(
-        _family("binarisation", "word binarisation: grading, roundtrip, convergence", compositions, word_roundtrip)
-    )
+    yield _family("word binarisation: grading, roundtrip, convergence", compositions, word_roundtrip)
 
     def concat_morphism(pair):
         c1, c2 = pair
         return binarise(concat_words(Word(c1), Word(c2))) == concat_words(binarise(c1), binarise(c2))
 
-    out.append(
-        _family(
-            "binarisation",
-            "binarisation is a concatenation morphism",
-            _pairs(compositions, sum, max_weight),
-            concat_morphism,
-            lambda pair: f"{pair[0]}+{pair[1]}",
-        )
+    yield _family(
+        "binarisation is a concatenation morphism",
+        _pairs(compositions, sum, max_weight),
+        concat_morphism,
+        lambda pair: f"{pair[0]}+{pair[1]}",
     )
 
     def inverse_roundtrip(bw):
@@ -434,13 +408,10 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
         return is_convergent_word(comp) and binarise(comp) == bw
 
     binary_words = (bw for length in range(1, max_weight + 1) for bw in words_with_length(length, ("x", "y")))
-    out.append(
-        _family(
-            "binarisation",
-            "onto convergent binary words (inverse roundtrip)",
-            filter(is_convergent_word, binary_words),
-            inverse_roundtrip,
-        )
+    yield _family(
+        "onto convergent binary words (inverse roundtrip)",
+        filter(is_convergent_word, binary_words),
+        inverse_roundtrip,
     )
 
     def forest_roundtrip(forest):
@@ -454,13 +425,10 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
             ok = ok and convergence_class(image, Alphabet.XY) is ConvergenceClass.CONV_XY
         return ok
 
-    out.append(
-        _family(
-            "binarisation",
-            "branched binarisation: grading, roundtrip, convergence",
-            forests_up_to_weight(max_weight),
-            forest_roundtrip,
-        )
+    yield _family(
+        "branched binarisation: grading, roundtrip, convergence",
+        forests_up_to_weight(max_weight),
+        forest_roundtrip,
     )
 
     def image_is_semiconvergent(forest):
@@ -471,104 +439,78 @@ def suite_binarisation(bound: int, precision: float) -> list[dict]:
             return not semi
         return semi and binarise_forest(preimage) == forest
 
-    out.append(
-        _family(
-            "binarisation",
-            "image of branched binarisation = semiconvergent forests",
-            forests_up_to(min(6, max_weight), ("x", "y")),
-            image_is_semiconvergent,
-        )
+    yield _family(
+        "image of branched binarisation = semiconvergent forests",
+        forests_up_to(min(6, max_weight), ("x", "y")),
+        image_is_semiconvergent,
     )
 
-    out.append(
-        _family(
-            "binarisation",
-            "flatten(0) of binarised ladders = binarised words",
-            [comp for comp in compositions if sum(comp) >= 2],
-            lambda comp: flatten_forest(binarise_forest(ladder(comp)), 0) == LinComb.of(binarise(comp)),
-        )
+    yield _family(
+        "flatten(0) of binarised ladders = binarised words",
+        [comp for comp in compositions if sum(comp) >= 2],
+        lambda comp: flatten_forest(binarise_forest(ladder(comp)), 0) == LinComb.of(binarise(comp)),
     )
-    return out
 
 
-def suite_rota_baxter(bound: int, precision: float) -> list[dict]:
-    del precision
-    out = []
+def suite_rota_baxter(bound: int, precision: float) -> Iterator[dict]:
     models = [strict_sum_model(12), nonstrict_sum_model(12), integration_model()]
     broken = broken_sum_model(12)
 
     for model in models:
         samples = [(model.embed(i), model.embed(j)) for i in (1, 2, 3) for j in (1, 2, 3)]
         samples.append((model.embed(1) * model.embed(2), model.embed(4)))
-        out.append(
-            _family(
-                "rota-baxter",
-                f"{model.name} satisfies the weight {model.weight} identity",
-                samples,
-                lambda sample: check_rota_baxter(model.op, [sample], model.weight),
-            )
+        yield _family(
+            f"{model.name} satisfies the weight {model.weight} identity",
+            samples,
+            lambda sample: check_rota_baxter(model.op, [sample], model.weight),
         )
 
-    out.append(
-        _family(
-            "rota-baxter",
-            "negative control violates the identity",
-            [(broken.embed(i), broken.embed(j)) for i in (1, 2) for j in (1, 2)],
-            lambda sample: not check_rota_baxter(broken.op, [sample], broken.weight),
-        )
+    yield _family(
+        "negative control violates the identity",
+        [(broken.embed(i), broken.embed(j)) for i in (1, 2) for j in (1, 2)],
+        lambda sample: not check_rota_baxter(broken.op, [sample], broken.weight),
     )
 
     max_vertices = min(5, bound - 1)
     forest_pool = [f for f in forests_up_to(max_vertices, (1, 2, 3)) if f]
     for model in models:
         factorizes = partial(verify_factorization, model)
-        out.append(_family("rota-baxter", f"factorization through words on {model.name}", forest_pool, factorizes))
+        yield _family(f"factorization through words on {model.name}", forest_pool, factorizes)
 
     small = [f for f in forests_up_to(2, (1, 2, 3)) if f]
-    out.append(
-        _family(
-            "rota-baxter",
-            "negative control breaks factorization on a small forest",
-            [broken],
-            lambda control: not all(verify_factorization(control, f) for f in small),
-            lambda control: control.name,
-        )
+    yield _family(
+        "negative control breaks factorization on a small forest",
+        [broken],
+        lambda control: not all(verify_factorization(control, f) for f in small),
+        lambda control: control.name,
     )
 
     pair_pool = list(_pairs([f for f in forests_up_to(3, (1, 2, 3)) if f], _vertex_count, 4))
     for model in models:
         morphism = partial(verify_tree_shuffle_morphism, model)
-        out.append(
-            _family("rota-baxter", f"tree-shuffle morphism on {model.name}", pair_pool, lambda pair: morphism(*pair))
-        )
-    return out
+        yield _family(f"tree-shuffle morphism on {model.name}", pair_pool, lambda pair: morphism(*pair))
 
 
 # -- numeric suites ------------------------------------------------------------------
 
 
-def suite_mzv_oracles(bound: int, precision: float) -> list[dict]:
-    del bound
-    out = []
+def suite_mzv_oracles(bound: int, precision: float) -> Iterator[dict]:
     z2 = eval_mzv((2,), "strict", precision)
-    out.append(_numeric("mzv-oracles", "zeta(2) = pi^2/6", z2.value, math.pi**2 / 6, precision))
+    yield _numeric("zeta(2) = pi^2/6", z2.value, math.pi**2 / 6, precision)
     z4 = eval_mzv((4,), "strict", precision)
-    out.append(_numeric("mzv-oracles", "zeta(4) = pi^4/90", z4.value, math.pi**4 / 90, precision))
+    yield _numeric("zeta(4) = pi^4/90", z4.value, math.pi**4 / 90, precision)
     z21 = eval_mzv((2, 1), "strict", precision)
     z3 = eval_mzv((3,), "strict", precision)
-    out.append(_numeric("mzv-oracles", "zeta(2,1) = zeta(3)", z21.value, z3.value, 2 * precision))
+    yield _numeric("zeta(2,1) = zeta(3)", z21.value, z3.value, 2 * precision)
     z22 = eval_mzv((2, 2), "strict", precision)
-    out.append(_numeric("mzv-oracles", "zeta(2,2) = pi^4/120", z22.value, math.pi**4 / 120, precision))
+    yield _numeric("zeta(2,2) = pi^4/120", z22.value, math.pi**4 / 120, precision)
     ev = eval_combination(MzvCombination({(2, 2): 2, (4,): 1}), precision)
-    out.append(_numeric("mzv-oracles", "2 zeta(2,2) + zeta(4) = pi^4/36", ev.value, math.pi**4 / 36, precision))
+    yield _numeric("2 zeta(2,2) + zeta(4) = pi^4/36", ev.value, math.pi**4 / 36, precision)
     star21 = eval_mzv((2, 1), "star", precision)
-    out.append(
-        _numeric("mzv-oracles", "zeta*(2,1) = zeta(2,1) + zeta(3)", star21.value, z21.value + z3.value, 3 * precision)
-    )
-    return out
+    yield _numeric("zeta*(2,1) = zeta(2,1) + zeta(3)", star21.value, z21.value + z3.value, 3 * precision)
 
 
-def suite_reduction_vs_series(bound: int, precision: float) -> list[dict]:
+def suite_reduction_vs_series(bound: int, precision: float) -> Iterator[dict]:
     horizon = 2000
     forests = _convergent_forests(min(4, bound - 2))
 
@@ -577,19 +519,15 @@ def suite_reduction_vs_series(bound: int, precision: float) -> list[dict]:
         reduced = azv(forest, flavor, precision)
         return abs(brute.value - reduced.value) > brute.abs_error + reduced.abs_error
 
-    return [
-        _tally(
-            "reduction-vs-series",
+    for flavor in ("stuffle", "star"):
+        yield _tally(
             f"{flavor}: nested summation at N={horizon} within its tail bound [{len(forests)} forests]",
             forests,
             partial(outside_bound, flavor=flavor),
         )
-        for flavor in ("stuffle", "star")
-    ]
 
 
-def suite_morphisms(bound: int, precision: float) -> list[dict]:
-    out = []
+def suite_morphisms(bound: int, precision: float) -> Iterator[dict]:
     rng = random.Random(RNG_SEED)
     tol = max(precision * 100, 1e-6)
     max_weight = max(4, bound + 2)
@@ -604,14 +542,11 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
             lhs = eval_words(sh, mzv_flavor, precision)
             ev_u = eval_words(LinComb.of(u), mzv_flavor, precision)
             ev_v = eval_words(LinComb.of(v), mzv_flavor, precision)
-            out.append(
-                _numeric(
-                    "morphisms",
-                    f"{flavor} word morphism #{i}: {syntax.format_word(u)} * {syntax.format_word(v)}",
-                    lhs.value,
-                    ev_u.value * ev_v.value,
-                    tol,
-                )
+            yield _numeric(
+                f"{flavor} word morphism #{i}: {syntax.format_word(u)} * {syntax.format_word(v)}",
+                lhs.value,
+                ev_u.value * ev_v.value,
+                tol,
             )
 
     for i in range(10):
@@ -619,14 +554,11 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
         f2 = random_convergent_forest(rng, rng.randint(2, max_weight - f1.weight()))
         both = azv(concat_forests(f1, f2), "stuffle", precision)
         prod = azv(f1, "stuffle", precision).value * azv(f2, "stuffle", precision).value
-        out.append(
-            _numeric(
-                "morphisms",
-                f"concatenation morphism #{i}: {syntax.format_forest(f1)} | {syntax.format_forest(f2)}",
-                both.value,
-                prod,
-                tol,
-            )
+        yield _numeric(
+            f"concatenation morphism #{i}: {syntax.format_forest(f1)} | {syntax.format_forest(f2)}",
+            both.value,
+            prod,
+            tol,
         )
 
     for count in range(50):
@@ -640,14 +572,11 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
         sh = shuffle_forests_basis(a, b, lam)
         lhs = azv(sh, flavor, precision)
         rhs = azv(a, flavor, precision).value * azv(b, flavor, precision).value
-        out.append(
-            _numeric(
-                "morphisms",
-                f"tree-shuffle morphism ({flavor}) #{count}: {syntax.format_forest(a)} | {syntax.format_forest(b)}",
-                lhs.value,
-                rhs,
-                tol,
-            )
+        yield _numeric(
+            f"tree-shuffle morphism ({flavor}) #{count}: {syntax.format_forest(a)} | {syntax.format_forest(b)}",
+            lhs.value,
+            rhs,
+            tol,
         )
 
     for i in range(8):
@@ -656,20 +585,15 @@ def suite_morphisms(bound: int, precision: float) -> list[dict]:
         lam, mzv_flavor = FLAVORS[rng.choice(("stuffle", "star"))]
         lhs = eval_words(flatten(shuffle_forests_basis(f1, f2, lam), lam), mzv_flavor, precision)
         rhs = eval_words(shuffle_words(flatten_forest(f1, lam), flatten_forest(f2, lam), lam), mzv_flavor, precision)
-        out.append(
-            _numeric(
-                "morphisms",
-                f"flatten/tree-shuffle compatibility after reduction #{i} (lambda={lam})",
-                lhs.value,
-                rhs.value,
-                tol,
-            )
+        yield _numeric(
+            f"flatten/tree-shuffle compatibility after reduction #{i} (lambda={lam})",
+            lhs.value,
+            rhs.value,
+            tol,
         )
-    return out
 
 
-def suite_associator_kernel(bound: int, precision: float) -> list[dict]:
-    out = []
+def suite_associator_kernel(bound: int, precision: float) -> Iterator[dict]:
     rng = random.Random(RNG_SEED + 1)
     tol = max(precision * 100, 1e-6)
     max_weight = max(6, bound + 2)
@@ -686,20 +610,16 @@ def suite_associator_kernel(bound: int, precision: float) -> list[dict]:
                 forests = [binarise_forest(f) for f in forests]
             comb = associator(*forests, lam)
             ev = azv(comb, flavor, precision)
-            out.append(
-                _numeric(
-                    "associator-kernel",
-                    f"{flavor} associator #{i}: "
-                    + " ; ".join(syntax.format_forest(f) for f in forests),
-                    ev.value,
-                    0.0,
-                    tol,
-                )
+            yield _numeric(
+                f"{flavor} associator #{i}: "
+                + " ; ".join(syntax.format_forest(f) for f in forests),
+                ev.value,
+                0.0,
+                tol,
             )
-    return out
 
 
-def suite_theorem5(bound: int, precision: float) -> list[dict]:
+def suite_theorem5(bound: int, precision: float) -> Iterator[dict]:
     strict_gap = 1e-6
     trees = [
         tree
@@ -716,30 +636,25 @@ def suite_theorem5(bound: int, precision: float) -> list[dict]:
     branching = [tree for tree in trees if not tree.is_ladder()]
     worst_ladder = max((abs(gaps[tree]) for tree in ladders), default=0.0)
     min_branch_gap = min((gaps[tree] for tree in branching), default=float("inf"))
-    return [
-        _tally(
-            "theorem5",
-            f"shuffle side never exceeds stuffle side [{len(trees)} trees]",
-            trees,
-            lambda tree: gaps[tree] < -precision,
-        ),
-        _tally(
-            "theorem5",
-            f"equality on ladder trees (worst |gap| = {worst_ladder:.3g})",
-            ladders,
-            lambda tree: abs(gaps[tree]) > precision,
-            worst_ladder,
-        ),
-        _tally(
-            "theorem5",
-            f"strict gap > {strict_gap:g} for branching trees (smallest gap = {min_branch_gap:.3g})",
-            branching,
-            lambda tree: gaps[tree] <= strict_gap,
-        ),
-    ]
+    yield _tally(
+        f"shuffle side never exceeds stuffle side [{len(trees)} trees]",
+        trees,
+        lambda tree: gaps[tree] < -precision,
+    )
+    yield _tally(
+        f"equality on ladder trees (worst |gap| = {worst_ladder:.3g})",
+        ladders,
+        lambda tree: abs(gaps[tree]) > precision,
+        worst_ladder,
+    )
+    yield _tally(
+        f"strict gap > {strict_gap:g} for branching trees (smallest gap = {min_branch_gap:.3g})",
+        branching,
+        lambda tree: gaps[tree] <= strict_gap,
+    )
 
 
-def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
+def suite_hoffman_words(bound: int, precision: float) -> Iterator[dict]:
     tol = max(precision * 10, 1e-7)
     one = Word((1,))
     y = Word(("y",))
@@ -757,25 +672,20 @@ def suite_hoffman_words(bound: int, precision: float) -> list[dict]:
         for comp, difference in differences.items()
         if convergent(comp)
     }
-    return [
-        _family(
-            "hoffman-words",
-            "divergent binary words cancel in the regularisation combination",
-            differences,
-            convergent,
-        ),
-        _worst_gap(
-            "hoffman-words",
-            "regularisation combination lies in the shuffle kernel"
-            f" [worst residual {{worst:.3g}} over {len(differences)}]",
-            residuals,
-            tol,
-        ),
-    ]
+    yield _family(
+        "divergent binary words cancel in the regularisation combination",
+        differences,
+        convergent,
+    )
+    yield _worst_gap(
+        "regularisation combination lies in the shuffle kernel"
+        f" [worst residual {{worst:.3g}} over {len(differences)}]",
+        residuals,
+        tol,
+    )
 
 
-def suite_hoffman_trees(bound: int, precision: float) -> list[dict]:
-    out = []
+def suite_hoffman_trees(bound: int, precision: float) -> Iterator[dict]:
     one = tree_forest(leaf(1))
     y_forest = tree_forest(leaf("y"))
     max_vertices = min(4, bound - 2)
@@ -788,13 +698,10 @@ def suite_hoffman_trees(bound: int, precision: float) -> list[dict]:
     def convergent_xy(comb):
         return all(convergence_class(f, Alphabet.XY) is ConvergenceClass.CONV_XY for f in comb)
 
-    out.append(
-        _family(
-            "hoffman-trees",
-            "tree-level regularisation difference is convergent",
-            [f for f in _convergent_forests(max_vertices) if f],
-            lambda forest: convergent_xy(regularisation_difference(forest)),
-        )
+    yield _family(
+        "tree-level regularisation difference is convergent",
+        [f for f in _convergent_forests(max_vertices) if f],
+        lambda forest: convergent_xy(regularisation_difference(forest)),
     )
 
     # The published characterization ("no branching vertex") fails for products
@@ -809,13 +716,10 @@ def suite_hoffman_trees(bound: int, precision: float) -> list[dict]:
         single_ladder = forest.is_tree() and forest.trees[0].is_ladder()
         return has_divergent != single_ladder
 
-    out.append(
-        _family(
-            "hoffman-trees",
-            "word-level discrepancy keeps divergent words exactly off single ladders",
-            [f for f in _convergent_forests(4) if f],
-            divergent_exactly_off_single_ladders,
-        )
+    yield _family(
+        "word-level discrepancy keeps divergent words exactly off single ladders",
+        [f for f in _convergent_forests(4) if f],
+        divergent_exactly_off_single_ladders,
     )
 
     # Defect of the naive tree-level relation on the corolla 2[1,1].  The
@@ -826,92 +730,67 @@ def suite_hoffman_trees(bound: int, precision: float) -> list[dict]:
     # acceptance notes.)
     corolla = tree_forest(Tree(2, (leaf(1), leaf(1))))
     difference = regularisation_difference(corolla)
-    out.append(
-        _family(
-            "hoffman-trees",
-            "divergent basis forests cancel exactly in the 2[1,1] defect",
-            [difference],
-            convergent_xy,
-            syntax.format_lincomb,
-        )
+    yield _family(
+        "divergent basis forests cancel exactly in the 2[1,1] defect",
+        [difference],
+        convergent_xy,
+        syntax.format_lincomb,
     )
     reduction = reduce_azv(difference, "shuffle")
     expected_terms = {(3, 1, 1): 2, (2, 1, 2): 1, (2, 2, 1): 2, (2, 1, 1, 1): -2}
-    out.append(
-        _family(
-            "hoffman-trees",
-            "2[1,1] defect reduces to 2z(3,1,1)+z(2,1,2)+2z(2,2,1)-2z(2,1,1,1)",
-            [reduction],
-            lambda comb: comb.terms == expected_terms,
-            syntax.format_combination,
-        )
+    yield _family(
+        "2[1,1] defect reduces to 2z(3,1,1)+z(2,1,2)+2z(2,2,1)-2z(2,1,1,1)",
+        [reduction],
+        lambda comb: comb.terms == expected_terms,
+        syntax.format_combination,
     )
     tol = max(precision * 10, 1e-7)
     defect = eval_combination(reduction, precision)
     minus_z23 = -eval_mzv((2, 3), "strict", precision).value
-    out.append(
-        _numeric(
-            "hoffman-trees",
-            "defect of the naive relation on 2[1,1] equals -zeta(2,3)",
-            defect.value,
-            minus_z23,
-            tol,
-        )
+    yield _numeric(
+        "defect of the naive relation on 2[1,1] equals -zeta(2,3)",
+        defect.value,
+        minus_z23,
+        tol,
     )
-    out.append(
-        _numeric(
-            "hoffman-trees",
-            "defect is nonzero (Hoffman does not lift naively to trees)",
-            min(abs(defect.value), 1.0),
-            1.0,
-            0.5,
-        )
+    yield _numeric(
+        "defect is nonzero (Hoffman does not lift naively to trees)",
+        min(abs(defect.value), 1.0),
+        1.0,
+        0.5,
     )
-    return out
 
 
-def suite_worked_identity(bound: int, precision: float) -> list[dict]:
-    del bound
-    out = []
+def suite_worked_identity(bound: int, precision: float) -> Iterator[dict]:
     two = tree_forest(leaf(2))
     pair = Forest((leaf(2), leaf(2)))
     left = shuffle_forests(shuffle_forests_basis(pair, two, 1), LinComb.of(two), 1)
     right = shuffle_forests(LinComb.of(pair), shuffle_forests_basis(two, two, 1), 1)
     ev_left = azv(left, "stuffle", precision)
     ev_right = azv(right, "stuffle", precision)
-    out.append(
-        _numeric(
-            "worked-identity",
-            "both association orders of (2 2, 2, 2) evaluate equally",
-            ev_left.value,
-            ev_right.value,
-            max(precision * 4, 1e-8),
-        )
+    yield _numeric(
+        "both association orders of (2 2, 2, 2) evaluate equally",
+        ev_left.value,
+        ev_right.value,
+        max(precision * 4, 1e-8),
     )
     bracket = eval_combination(MzvCombination({(2, 2, 2): 6, (2, 4): 3, (4, 2): 3, (6,): 1}), precision)
     z2 = eval_mzv((2,), "strict", precision)
     base = eval_combination(MzvCombination({(2, 2): 2, (4,): 1}), precision)
-    out.append(
-        _numeric(
-            "worked-identity",
-            "[6z(2,2,2)+3z(2,4)+3z(4,2)+z(6)]*z(2) = [2z(2,2)+z(4)]^2",
-            bracket.value * z2.value,
-            base.value**2,
-            1e-8,
-        )
+    yield _numeric(
+        "[6z(2,2,2)+3z(2,4)+3z(4,2)+z(6)]*z(2) = [2z(2,2)+z(4)]^2",
+        bracket.value * z2.value,
+        base.value**2,
+        1e-8,
     )
     assoc = associator(pair, two, two, 1)
     ev_assoc = azv(assoc, "stuffle", precision)
-    out.append(
-        _numeric(
-            "worked-identity",
-            "associator of (2 2, 2, 2) lies in the stuffle kernel",
-            ev_assoc.value,
-            0.0,
-            max(precision * 4, 1e-8),
-        )
+    yield _numeric(
+        "associator of (2 2, 2, 2) lies in the stuffle kernel",
+        ev_assoc.value,
+        0.0,
+        max(precision * 4, 1e-8),
     )
-    return out
 
 
 def _integral_tail(b: int, p: int, n: int) -> float:
@@ -1028,21 +907,20 @@ def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:
     return value * z**low
 
 
-def suite_polylog(bound: int, precision: float) -> list[dict]:
-    out = []
+def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
     z = 0.5
     ln2 = math.log(2.0)
     ev = eval_polylog((1,), z, precision)
-    out.append(_numeric("polylog", "Li_(1)(1/2) = ln 2", ev.value, ln2, precision))
+    yield _numeric("Li_(1)(1/2) = ln 2", ev.value, ln2, precision)
     ev = eval_polylog((1, 1), z, precision)
-    out.append(_numeric("polylog", "Li_(1,1)(1/2) = ln^2(2)/2", ev.value, ln2**2 / 2, precision))
+    yield _numeric("Li_(1,1)(1/2) = ln^2(2)/2", ev.value, ln2**2 / 2, precision)
     ev = eval_polylog((2,), z, precision)
-    out.append(_numeric("polylog", "Li_(2)(1/2) partial-sum oracle", ev.value, 0.5822405264650125, precision))
+    yield _numeric("Li_(2)(1/2) partial-sum oracle", ev.value, 0.5822405264650125, precision)
 
     ev = eval_arborified_polylog(tree_forest(leaf("y")), z, precision)
-    out.append(_numeric("polylog", "arborified Li of a single y-vertex = ln 2", ev.value, ln2, precision))
+    yield _numeric("arborified Li of a single y-vertex = ln 2", ev.value, ln2, precision)
     ev = eval_arborified_polylog(tree_forest(b_plus("y", tree_forest(leaf("y")))), z, precision)
-    out.append(_numeric("polylog", "arborified Li of the y-ladder = ln^2(2)/2", ev.value, ln2**2 / 2, precision))
+    yield _numeric("arborified Li of the y-ladder = ln^2(2)/2", ev.value, ln2**2 / 2, precision)
 
     max_vertices = min(4, bound - 2)
     gaps = {
@@ -1050,13 +928,10 @@ def suite_polylog(bound: int, precision: float) -> list[dict]:
         for forest in forests_up_to(max_vertices, ("x", "y"), include_empty=False)
         if convergence_class(forest, Alphabet.XY).is_semiconvergent
     }
-    out.append(
-        _worst_gap(
-            "polylog",
-            f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {{worst:.3g}}]",
-            gaps,
-            precision,
-        )
+    yield _worst_gap(
+        f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {{worst:.3g}}]",
+        gaps,
+        precision,
     )
 
     rng = random.Random(RNG_SEED + 2)
@@ -1068,45 +943,33 @@ def suite_polylog(bound: int, precision: float) -> list[dict]:
             eval_arborified_polylog(f1, z, precision).value
             * eval_arborified_polylog(f2, z, precision).value
         )
-        out.append(
-            _numeric(
-                "polylog",
-                f"multiplicative over concatenation #{i}",
-                both.value,
-                prod,
-                max(precision * 10, 1e-7),
-            )
+        yield _numeric(
+            f"multiplicative over concatenation #{i}",
+            both.value,
+            prod,
+            max(precision * 10, 1e-7),
         )
-    return out
 
 
-def suite_star_reduction(bound: int, precision: float) -> list[dict]:
-    out = []
+def suite_star_reduction(bound: int, precision: float) -> Iterator[dict]:
     tol = max(precision * 10, 1e-7)
     for comp in [(2,), (2, 1), (2, 1, 1), (3, 2), (2, 2, 1)]:
         if sum(comp) > bound + 2:
             continue
         direct = eval_mzv(comp, "star", precision)
         merged = eval_combination(star_to_strict(comp), precision)
-        out.append(
-            _numeric(
-                "star-reduction",
-                f"zeta*{comp} = sum of adjacent-part merges",
-                direct.value,
-                merged.value,
-                tol,
-            )
+        yield _numeric(
+            f"zeta*{comp} = sum of adjacent-part merges",
+            direct.value,
+            merged.value,
+            tol,
         )
     want = MzvCombination({(2, 1, 1): 1, (3, 1): 1, (2, 2): 1, (4,): 1})
-    out.append(
-        _family(
-            "star-reduction",
-            "merge expansion of (2,1,1)",
-            [(2, 1, 1)],
-            lambda comp: star_to_strict(comp).terms == want.terms,
-        )
+    yield _family(
+        "merge expansion of (2,1,1)",
+        [(2, 1, 1)],
+        lambda comp: star_to_strict(comp).terms == want.terms,
     )
-    return out
 
 
 SUITES = {
@@ -1144,6 +1007,8 @@ def _named_report(name: str, bound: int, precision: float) -> tuple[str, list[di
 def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
     """Report entries of one suite, or of every suite of ``SUITES`` for ``"all"``.
 
+    Each entry is named here, with the suite's ``SUITES`` key as its first key.
+
     ``"all"`` runs each suite as one task on a pool of forked workers, one
     per CPU and at most one per suite; with one CPU, or no ``fork``, it runs
     them in this process.  Either way the reports come back in ``SUITES``
@@ -1155,7 +1020,7 @@ def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
     if name == "all":
         workers = min(len(SUITES), _cpu_count())
         if workers < 2 or not hasattr(os, "fork"):
-            return [entry for suite in SUITES.values() for entry in suite(bound, precision)]
+            return [entry for name in SUITES for entry in run_suite(name, bound, precision)]
         # Imported here: the pool modules take 10-20 ms to import, which the
         # other callers of this module should not pay.  Forked workers inherit
         # the loaded modules instead of importing arbozeta again.
@@ -1169,4 +1034,4 @@ def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
         return [entry for name in SUITES for entry in reports[name]]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
-    return SUITES[name](bound, precision)
+    return [{"suite": name, **entry} for entry in SUITES[name](bound, precision)]

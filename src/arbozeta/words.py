@@ -180,6 +180,8 @@ def is_semiconvergent_word(w: Word) -> bool:
 # The heaviest zeta or polylog index, and word or tree to binarise, that is
 # accepted; a binarised word or tree has at most this many letters or levels.
 MAX_WEIGHT = 256
+# The longest star zeta index that is expanded into its 2^(parts - 1) strict merges.
+MAX_STAR_PARTS = 13
 
 
 def check_weight(weight: int, what: str) -> None:

@@ -59,7 +59,7 @@ from .errors import (
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest
-from .words import Word, binarise, check_weight, debinarise
+from .words import MAX_STAR_PARTS, Word, binarise, check_weight, debinarise
 
 Composition = tuple[int, ...]
 
@@ -452,9 +452,14 @@ def azv(
 
 
 def star_to_strict(s) -> MzvCombination:
-    """Star value as the sum of strict values over all adjacent-part merges."""
+    """Star value as the sum of strict values over all adjacent-part merges.
+
+    An index of more than ``words.MAX_STAR_PARTS`` parts is refused before any merge.
+    """
     s = tuple(s)
     _validate_index(s)
+    if len(s) > MAX_STAR_PARTS:
+        raise DomainError(f"star index of {len(s)} parts is above the bound of {MAX_STAR_PARTS} parts")
     if not s:
         return MzvCombination({(): 1}, "strict")
     terms: dict[Composition, Coeff] = {}
@@ -492,12 +497,21 @@ def eval_polylog(
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
 ) -> MzvEval:
-    """Single-variable multiple polylogarithm via its power series, 0 <= z < 1."""
+    """Single-variable multiple polylogarithm via its power series, 0 <= z < 1.
+
+    The tail and roundoff bounds at the horizon do not depend on the value,
+    so a precision they already exceed is refused before the kernel runs.
+    """
     s = tuple(s)
     _validate_parts(s)
     _check_polylog_args(z, precision)
-    ev = _polylog(s, z, precision / 2, summation_cap(max_n))
-    _require(ev.abs_error, precision, f"polylog {s} at z={z}")
+    cap = summation_cap(max_n)
+    what = f"polylog {s} at z={z}"
+    if s and z:
+        n, tail_bound = _horizon(s, z, precision / 2, cap)
+        _require(tail_bound + _roundoff(len(s), z, n), precision, what)
+    ev = _polylog(s, z, precision / 2, cap)
+    _require(ev.abs_error, precision, what)
     return ev
 
 

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from arbozeta.catalog import forests_up_to
-from arbozeta.errors import DomainError, NotSemiconvergent
+from arbozeta import zeta
+from arbozeta.errors import DomainError, NotSemiconvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class
 from arbozeta.suites import brute_polylog_forest
 from arbozeta.trees import Alphabet, Forest, b_plus, leaf, tree_forest
@@ -36,6 +37,16 @@ class TestPolylog:
             eval_polylog((2,), 1.0)
         with pytest.raises(DomainError):
             eval_polylog((2,), -0.1)
+
+    def test_unreachable_bound_is_refused_before_the_kernel(self, monkeypatch):
+        """(1^256) at z = 0.99: the roundoff bound alone is near 1e246."""
+
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(zeta, "_fixed_polylogs", kernel)
+        with pytest.raises(PrecisionUnreachable, match="certified error 1.11689e[+]246 exceeds 1e-08"):
+            eval_polylog((1,) * 256, 0.99)
 
     def test_partial_sum_value(self):
         ev = eval_polylog((2,), 0.5, 1e-10)

@@ -5,7 +5,19 @@ import pytest
 
 from arbozeta.errors import DomainError
 from arbozeta import cli, suites, syntax
-from arbozeta.suites import SUITES, _family, _pairs, _tally, _with_lambda, _worst_gap, run_suite
+from arbozeta.suites import (
+    SUITES,
+    _companion,
+    _family,
+    _pairs,
+    _tally,
+    _unnormalized_associator,
+    _with_lambda,
+    _worst_gap,
+    run_suite,
+)
+from arbozeta.lincomb import LinComb
+from arbozeta.trees import Forest
 from arbozeta.words import word
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
@@ -17,6 +29,7 @@ def test_suite_passes_at_reduced_bound(name):
     assert entries, f"suite {name} produced no entries"
     for entry in entries:
         assert set(entry) == REPORT_KEYS
+        assert next(iter(entry)) == "suite" and entry["suite"] == name
         assert isinstance(entry["pass"], bool)
     bad = [e for e in entries if not e["pass"]]
     assert not bad, f"{len(bad)} failed; first: {bad[0]['instance']}"
@@ -44,6 +57,21 @@ def test_all_runs_every_suite(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
         assert run_suite("all", 3, 1e-6) == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_all_names_every_entry_first_by_its_suite_key(monkeypatch, cpus):
+    """Suites yield bare entries; ``run_suite`` puts ``suite`` first, in process and in workers."""
+
+    def bare(name):
+        return lambda bound, precision: iter([{"instance": f"{name} {i}", "pass": True} for i in range(2)])
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, bare(name))
+    report = run_suite("all", 3, 1e-6)
+    assert [list(entry) for entry in report] == [["suite", "instance", "pass"]] * (2 * len(SUITES))
+    assert [(e["suite"], e["instance"]) for e in report] == [(n, f"{n} {i}") for n in SUITES for i in range(2)]
 
 
 def _break_a_suite(monkeypatch, cpus):
@@ -135,14 +163,14 @@ def test_family_counts_failures_and_names_the_first():
         described.append(case)
         return f"n={case}"
 
-    entry = _family("demo", "even numbers", iter([2, 4, 5, 6, 7]), lambda n: n % 2 == 0, describe)
+    entry = _family("even numbers", iter([2, 4, 5, 6, 7]), lambda n: n % 2 == 0, describe)
     assert entry["instance"] == "even numbers [5 instances]; first failure: n=5"
     assert (entry["lhs"], entry["rhs"], entry["tolerance"]) == ("exact", "exact", 0.0)
     assert entry["residual"] == 2.0
     assert entry["pass"] is False
     assert described == [5]
 
-    passing = _family("demo", "even numbers", [2, 4], lambda n: n % 2 == 0, describe)
+    passing = _family("even numbers", [2, 4], lambda n: n % 2 == 0, describe)
     assert passing["instance"] == "even numbers [2 instances]"
     assert passing["residual"] == 0.0 and passing["pass"] is True
     assert described == [5]
@@ -155,14 +183,14 @@ def test_tally_counts_failures_and_names_the_first():
         described.append(case)
         return f"n={case}"
 
-    entry = _tally("demo", "odd numbers fail [5 cases]", iter([2, 4, 5, 6, 7]), lambda n: n % 2, 0.5, describe)
+    entry = _tally("odd numbers fail [5 cases]", iter([2, 4, 5, 6, 7]), lambda n: n % 2, 0.5, describe)
     assert entry["instance"] == "odd numbers fail [5 cases]; first failure: n=5"
     assert (entry["lhs"], entry["rhs"], entry["tolerance"]) == (0.5, 0.0, 0.0)
     assert entry["residual"] == 2.0
     assert entry["pass"] is False
     assert described == [5]
 
-    passing = _tally("demo", "odd numbers fail", [2, 4], lambda n: n % 2, describe=describe)
+    passing = _tally("odd numbers fail", [2, 4], lambda n: n % 2, describe=describe)
     assert passing["instance"] == "odd numbers fail"
     assert (passing["lhs"], passing["residual"], passing["pass"]) == (0.0, 0.0, True)
     assert described == [5]
@@ -176,16 +204,16 @@ def test_worst_gap_reports_the_worst_and_names_the_first_beyond_tolerance():
         return f"case {case}"
 
     gaps = {"a": 0.1, "b": 0.7, "c": 0.3, "d": 0.9}
-    entry = _worst_gap("demo", "gaps [worst {worst:.2g}]", gaps, 0.5, describe)
+    entry = _worst_gap("gaps [worst {worst:.2g}]", gaps, 0.5, describe)
     assert entry["instance"] == "gaps [worst 0.9]; first failure: case b"
     assert (entry["lhs"], entry["rhs"], entry["residual"], entry["tolerance"]) == (0.9, 0.0, 0.9, 0.5)
     assert entry["pass"] is False
     assert described == ["b"]
 
-    passing = _worst_gap("demo", "gaps [worst {worst:.2g}]", {"a": 0.1, "c": 0.5}, 0.5, describe)
+    passing = _worst_gap("gaps [worst {worst:.2g}]", {"a": 0.1, "c": 0.5}, 0.5, describe)
     assert passing["instance"] == "gaps [worst 0.5]"
     assert (passing["residual"], passing["pass"]) == (0.5, True)
-    empty = _worst_gap("demo", "gaps [worst {worst:.2g}]", {}, 0.5, describe)
+    empty = _worst_gap("gaps [worst {worst:.2g}]", {}, 0.5, describe)
     assert empty["instance"] == "gaps [worst 0]"
     assert (empty["residual"], empty["pass"]) == (0.0, True)
     assert described == ["b"]
@@ -193,10 +221,10 @@ def test_worst_gap_reports_the_worst_and_names_the_first_beyond_tolerance():
 
 def test_witness_text_of_words_forests_and_lambda():
     pair = (word((1, 2)), word((2,)))
-    entry = _family("demo", "never", [pair], lambda _: False)
+    entry = _family("never", [pair], lambda _: False)
     assert entry["instance"] == "never [1 instances]; first failure: (1,2) | (2)"
     case = (syntax.parse_forest("2[1]"), -1)
-    entry = _family("demo", "never", [case], lambda _: False, _with_lambda)
+    entry = _family("never", [case], lambda _: False, _with_lambda)
     assert entry["instance"] == "never [1 instances]; first failure: 2[1] lam=-1"
 
 
@@ -205,3 +233,21 @@ def test_pairs_match_the_filtered_double_loop():
     for limit in range(-1, 8):
         want = [(a, b) for a in items for b in items if len(a) + len(b) <= limit]
         assert list(_pairs(items, len, limit)) == want
+
+
+def test_companion_drops_the_redistribution_factor():
+    """Two leaves times one leaf: each pairing grafts both ways, with coefficient one (not 1/2)."""
+    p = syntax.parse_expression
+    assert _companion(p("1 2"), p("3")) == p("1[3] 2 + 3[1] 2 + 2[3] 1 + 3[2] 1")
+    pair = p("1 2")
+    assert _companion(pair, Forest()) == LinComb.of(pair) == _companion(Forest(), pair)
+
+
+def test_companion_associator_of_the_four_point_witness():
+    """(a b, c, d) with a, b, c, d = 1, 2, 3, 4: the published product pairs
+    (a[d] + d[a])(b[c] + c[b]) + (b[d] + d[b])(a[c] + c[a]), expanded."""
+    p = syntax.parse_expression
+    pairs = p(
+        "1[4] 2[3] + 1[4] 3[2] + 4[1] 2[3] + 4[1] 3[2] + 2[4] 1[3] + 2[4] 3[1] + 4[2] 1[3] + 4[2] 3[1]"
+    )
+    assert _unnormalized_associator(p("1 2"), p("3"), p("4")) == pairs

@@ -15,7 +15,7 @@ from arbozeta.errors import AlphabetMismatch, ParseError
 from arbozeta.forest_algebra import flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import MAX_WEIGHT, Word, word
+from arbozeta.words import MAX_STAR_PARTS, MAX_WEIGHT, Word, word
 from arbozeta.zeta import MzvCombination, MzvEval
 
 
@@ -595,3 +595,34 @@ class TestWeightBound:
     def test_unreachable_precision_at_the_bound(self):
         code, _, err = run_cli("eval", f"{MAX_WEIGHT}")
         assert code == 3 and "certified error" in err
+
+
+# Each was refused only after the work: a star index expanded into all its
+# 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran.
+_REFUSED_BEFORE_THE_WORK = [
+    (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
+    (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
+    (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99"], "certified error 1.11689e+246 exceeds"),
+    (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99"], "certified error"),
+]
+
+
+class TestRefusedBeforeTheWork:
+    def test_refused_in_bounded_time_and_memory(self):
+        calls = [argv for argv, _ in _REFUSED_BEFORE_THE_WORK]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED, json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for (argv, message), (code, err, seconds) in zip(_REFUSED_BEFORE_THE_WORK, json.loads(proc.stdout)):
+            assert code == 3 and err.startswith("error: ") and message in err, argv
+            assert "Traceback" not in err and seconds < 1.0, argv
+
+    def test_star_values_below_the_bound(self):
+        code, out, err = run_cli("eval", "--flavor", "star", "--precision", "1e-6", _ladder(2, 6))
+        assert (code, err) == (0, "") and float(out.split()[0]) > 1.0
+        code, _, err = run_cli("reduce", "--flavor", "star", _ladder(2, 100))
+        assert code == 0 and not err

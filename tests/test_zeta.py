@@ -25,7 +25,7 @@ from arbozeta.zeta import (
     star_to_strict,
     words_to_combination,
 )
-from arbozeta.words import MAX_WEIGHT, word
+from arbozeta.words import MAX_STAR_PARTS, MAX_WEIGHT, word
 
 mp.mp.dps = 30
 
@@ -312,6 +312,15 @@ class TestStarToStrict:
     def test_divergent_rejected(self):
         with pytest.raises(DivergentIndex):
             star_to_strict((1, 2))
+
+    def test_parts_bound(self):
+        """MAX_STAR_PARTS parts expand into all 2^(parts - 1) merges; one more is refused."""
+        assert len(star_to_strict((2,) * MAX_STAR_PARTS)) == 2 ** (MAX_STAR_PARTS - 1)
+        for s in ((2,) * (MAX_STAR_PARTS + 1), (2,) * 100):
+            with pytest.raises(DomainError, match=f"above the bound of {MAX_STAR_PARTS} parts"):
+                star_to_strict(s)
+            with pytest.raises(DomainError, match=f"above the bound of {MAX_STAR_PARTS} parts"):
+                eval_mzv(s, "star")
 
 
 class TestReduceAzv:
