@@ -10,13 +10,18 @@ are domain errors, raised before any work.  ``--max-n`` caps the polylog
 horizon of ``eval`` and ``polylog``.  Every verb but ``check`` computes one
 value, which ``syntax.render`` prints as text or JSON.
 
-Only ``check`` loads the identity suites; every other verb runs on the
-exact core and on the series kernel behind ``eval`` and ``polylog``, which
-works in fixed point at 2^-128 in Python ints.  On a 2-vCPU shared VM,
-with ``PYTHONDONTWRITEBYTECODE=1`` and no cached bytecode, ``parse "2[1]"``
-and ``eval "2[1]"`` each took 52 ms in a fresh process and
-``python -c pass`` 26 ms (medians of 15 calls).  ``check --suite all``
-runs its suites in up to one worker process per CPU.
+Each verb loads only the modules it runs.  ``parse``, ``shuffle-words`` and
+``binarize`` need neither ``forest_algebra`` nor ``zeta``; ``shuffle-trees``,
+``flatten``, ``binarize-tree`` and ``associator`` load ``forest_algebra``;
+``reduce``, ``eval`` and ``polylog`` load ``zeta``, which imports
+``forest_algebra``; only ``check`` loads the identity suites, and only
+``--json`` loads ``json``.  The series kernel behind ``eval`` and
+``polylog`` works in fixed point at 2^-128 in Python ints.  On a 2-vCPU
+shared VM, with ``PYTHONDONTWRITEBYTECODE=1`` and no cached bytecode,
+``python -c pass`` took 70 ms in a fresh process, ``parse "2[1]"`` 109 ms
+and ``eval "2[1]"`` 125 ms (medians of 15 calls; 134 and 135 ms when every
+verb loaded every module).  ``check --suite all`` runs its suites in up to
+one worker process per CPU.
 """
 from __future__ import annotations
 
@@ -26,16 +31,9 @@ from fractions import Fraction
 
 from . import syntax
 from .errors import ArbozetaError, ParseError
-from .forest_algebra import associator, binarise_comb, flatten, shuffle_forests
 from .lincomb import LinComb, _as_comb
 from .trees import Forest
 from .words import Word, binarise, shuffle_words
-from .zeta import (
-    eval_arborified_polylog,
-    eval_combination,
-    eval_polylog,
-    reduce_azv,
-)
 
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
@@ -130,11 +128,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _polylog(args):
-    expr = syntax.parse_expression(args.expr)
+# A verb that needs forest_algebra or zeta imports it when it runs, as _check
+# imports suites, so that a call of any other verb never loads that module.
+
+def _shuffle_trees(a):
+    from .forest_algebra import shuffle_forests
+
+    return shuffle_forests(_forest_comb(a.left), _forest_comb(a.right), a.lam)
+
+
+def _flatten(a):
+    from .forest_algebra import flatten
+
+    return flatten(_forest_comb(a.expr), a.lam)
+
+
+def _binarize_tree(a):
+    from .forest_algebra import binarise_comb
+
+    return binarise_comb(_forest_comb(a.expr))
+
+
+def _reduce(a):
+    from .zeta import reduce_azv
+
+    return reduce_azv(_forest_comb(a.expr), a.flavor)
+
+
+def _eval(a):
+    from .zeta import eval_combination
+
+    return eval_combination(_reduce(a), a.precision, a.max_n)
+
+
+def _polylog(a):
+    from .zeta import eval_arborified_polylog, eval_polylog
+
+    expr = syntax.parse_expression(a.expr)
     if isinstance(expr, Word):
-        return eval_polylog(expr.letters, args.z, args.precision, args.max_n)
-    return eval_arborified_polylog(_to_comb(expr, Forest), args.z, args.precision, args.max_n)
+        return eval_polylog(expr.letters, a.z, a.precision, a.max_n)
+    return eval_arborified_polylog(_to_comb(expr, Forest), a.z, a.precision, a.max_n)
 
 
 def _single_forest(text: str) -> Forest:
@@ -144,18 +177,24 @@ def _single_forest(text: str) -> Forest:
     return forest
 
 
+def _associator(a):
+    from .forest_algebra import associator
+
+    return associator(*map(_single_forest, (a.first, a.second, a.third)), a.lam)
+
+
 # What each verb but check computes: a LinComb, an MzvCombination or an MzvEval.
 _VERBS = {
     "parse": lambda a: _as_comb(syntax.parse_expression(a.expr)),
     "shuffle-words": lambda a: shuffle_words(_word_comb(a.left), _word_comb(a.right), a.lam),
-    "shuffle-trees": lambda a: shuffle_forests(_forest_comb(a.left), _forest_comb(a.right), a.lam),
-    "flatten": lambda a: flatten(_forest_comb(a.expr), a.lam),
+    "shuffle-trees": _shuffle_trees,
+    "flatten": _flatten,
     "binarize": lambda a: _word_comb(a.expr).map_basis(binarise),
-    "binarize-tree": lambda a: binarise_comb(_forest_comb(a.expr)),
-    "reduce": lambda a: reduce_azv(_forest_comb(a.expr), a.flavor),
-    "eval": lambda a: eval_combination(reduce_azv(_forest_comb(a.expr), a.flavor), a.precision, a.max_n),
+    "binarize-tree": _binarize_tree,
+    "reduce": _reduce,
+    "eval": _eval,
     "polylog": _polylog,
-    "associator": lambda a: associator(*map(_single_forest, (a.first, a.second, a.third)), a.lam),
+    "associator": _associator,
 }
 
 

@@ -32,7 +32,6 @@ two representations of one value compare equal.  ``TruncSeq.values`` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, gcd, lcm
@@ -42,25 +41,27 @@ from typing import Callable, Iterable
 
 from .forest_algebra import flatten_forest, shuffle_forests_basis
 from .lincomb import Coeff, LinComb
-from .trees import Decoration, Forest, Tree
+from .trees import Decoration, Forest, Tree, _Record, _set
 from .words import Word
 
 
-@dataclass(frozen=True)
-class OperatorModel:
+class OperatorModel(_Record):
     """A map ``op`` on a commutative algebra plus a decoration embedding.
 
     ``one`` is the unit of the carrier; its class provides ``combination``,
     through which linear combinations of forests and words are mapped.
+    Each model memoises the branched maps of its trees and words; the memos
+    take no part in its equality, hash or repr.
     """
 
-    name: str
-    one: object
-    op: Callable
-    embed: Callable[[Decoration], object]
-    weight: Coeff
-    _tree_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _word_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "one", "op", "embed", "weight", "_tree_cache", "_word_cache")
+    _FIELDS = ("name", "one", "op", "embed", "weight")
+
+    def __init__(self, name: str, one, op: Callable, embed: Callable[[Decoration], object], weight: Coeff):
+        for field, value in zip(self._FIELDS, (name, one, op, embed, weight)):
+            _set(self, field, value)
+        _set(self, "_tree_cache", {})
+        _set(self, "_word_cache", {})
 
     def branch_tree(self, tree: Tree):
         cached = self._tree_cache.get(tree)

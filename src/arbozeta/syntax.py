@@ -18,15 +18,17 @@ one printer of the command line's results.
 """
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .lincomb import LinComb
 from .trees import Forest, Tree
 from .words import Word
-from .zeta import MzvCombination, MzvEval
+
+if TYPE_CHECKING:
+    from .zeta import MzvCombination, MzvEval
 
 MAX_NESTING = 100
 
@@ -329,24 +331,33 @@ def forest_from_json(data: list) -> Forest:
 
 
 def dumps(data) -> str:
+    import json
+
     return json.dumps(data, indent=2, sort_keys=False)
 
 
 # -- the one printer of CLI results ----------------------------------------------
 
 def render(value, as_json: bool = False) -> str:
-    """A LinComb, an MzvCombination or an MzvEval as text, or as JSON when ``as_json``."""
-    if isinstance(value, MzvEval):
-        if not as_json:
-            return format_eval(value)
-        data = {"value": value.value, "abs_error": value.abs_error}
-    elif isinstance(value, MzvCombination):
-        if not as_json:
-            return format_combination(value)
-        terms = [{"coeff": str(c), "index": list(index)} for index, c in value.sorted_items()]
-        data = {"flavor": value.flavor, "terms": terms}
-    else:
+    """A LinComb, an MzvCombination or an MzvEval as text, or as JSON when ``as_json``.
+
+    ``MzvEval`` is imported only for a value that is not a LinComb: such a
+    value came from ``zeta``, so that module is loaded already.
+    """
+    if isinstance(value, LinComb):
         if not as_json:
             return format_lincomb(value)
         data = [{"coeff": str(c), "basis": basis_to_json(basis)} for basis, c in value.sorted_items()]
+    else:
+        from .zeta import MzvEval
+
+        if isinstance(value, MzvEval):
+            if not as_json:
+                return format_eval(value)
+            data = {"value": value.value, "abs_error": value.abs_error}
+        else:  # an MzvCombination
+            if not as_json:
+                return format_combination(value)
+            terms = [{"coeff": str(c), "index": list(index)} for index, c in value.sorted_items()]
+            data = {"flavor": value.flavor, "terms": terms}
     return dumps(data)

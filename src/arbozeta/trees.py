@@ -77,7 +77,7 @@ def _canonical(trees: tuple) -> tuple:
 
 
 class _Value:
-    """Base of the immutable value classes: fields are set once, by ``_unchecked``."""
+    """Base of the immutable value classes: fields are set once, by ``_unchecked`` or ``__init__``."""
 
     __slots__ = ()
 
@@ -88,6 +88,38 @@ class _Value:
 
 
 _set = object.__setattr__
+
+
+class _Record(_Value):
+    """Immutable value compared, hashed, shown and pickled by the fields in ``_FIELDS``.
+
+    It behaves like a frozen dataclass without importing ``dataclasses``:
+    equal only to an instance of the same class with equal fields, and
+    ``repr`` lists the fields as keyword arguments.  A subclass sets its
+    fields with ``_set`` in ``__init__``, which takes them in ``_FIELDS``
+    order.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Tree(_Value):

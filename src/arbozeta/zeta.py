@@ -45,7 +45,6 @@ horizons (N = 64 or 128, weight <= 14) that is below 1e-25.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
@@ -58,7 +57,7 @@ from .errors import (
 )
 from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb, _as_comb
-from .trees import Alphabet, Forest
+from .trees import Alphabet, Forest, _Record, _set
 from .words import MAX_STAR_PARTS, Word, binarise, check_weight, debinarise
 
 Composition = tuple[int, ...]
@@ -73,6 +72,7 @@ BLOCK = 4096  # horizons longer than this are walked in blocks of this many term
 _ONE = 1 << P
 _SCALE3 = 1 << 3 * P  # scale of a sum of products of three fixed-point factors
 _F64_U = 2.0**-53  # unit roundoff of float
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least number that float() rounds past the largest float
 
 # The kernel's memos, emptied by clear_mzv_cache.  Tables, powers, weights
 # and levels are kept only for horizons of one block.
@@ -92,32 +92,37 @@ def summation_cap(max_n: int | None = None) -> int:
     return max_n
 
 
-@dataclass(frozen=True)
-class MzvEval:
+class MzvEval(_Record):
     """A numeric value with a certified absolute error bound."""
 
-    value: float
-    abs_error: float
+    __slots__ = _FIELDS = ("value", "abs_error")
+
+    def __init__(self, value: float, abs_error: float):
+        _set(self, "value", value)
+        _set(self, "abs_error", abs_error)
 
 
-@dataclass(frozen=True)
-class MzvCombination:
+class MzvCombination(_Record):
     """Exact rational combination of composition-indexed zeta values.
 
     The one check of flavors and zeta indexes: integer parts >= 1, a first
-    part >= 2 and a weight of at most ``words.MAX_WEIGHT``.
+    part >= 2 and a weight of at most ``words.MAX_WEIGHT``.  Its ``terms``
+    dict makes it unhashable.
     """
 
-    terms: dict[Composition, Coeff] = field(default_factory=dict)
-    flavor: str = "strict"
+    __slots__ = _FIELDS = ("terms", "flavor")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.flavor not in ("strict", "star"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        for index, coeff in self.terms.items():
+    def __init__(self, terms: dict[Composition, Coeff] | None = None, flavor: str = "strict"):
+        if flavor not in ("strict", "star"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        terms = {} if terms is None else terms
+        for index, coeff in terms.items():
             _validate_index(index)
             if not coeff:
                 raise ValueError("zero coefficient stored in combination")
+        _set(self, "terms", terms)
+        _set(self, "flavor", flavor)
 
     def sorted_items(self) -> list[tuple[Composition, Coeff]]:
         return sorted(self.terms.items())
@@ -531,9 +536,15 @@ def eval_arborified_polylog(
     if words.is_zero():
         return MzvEval(0.0, 0.0)
     cap = summation_cap(max_n)
-    # The tails of all terms together take at most half the budget.
-    tail = precision / (2.0 * float(sum(abs(c) for _, c in words.items())))
+    what = f"arborified polylog at z={z}"
+    # The tails of all terms together take at most half the budget.  Float
+    # arithmetic cannot carry coefficients that sum past the float range, so
+    # their bound is infinite, and that is known before the kernel runs.
+    size = sum(abs(c) for _, c in words.items())
+    if size >= _FLOAT_OVERFLOW:
+        _require(math.inf, precision, what)
+    tail = precision / (2.0 * float(size))
     terms = [(coeff, _polylog(debinarise(w).letters, z, tail, cap)) for w, coeff in words.sorted_items()]
     total, err = _combine(terms)
-    _require(err, precision, f"arborified polylog at z={z}")
+    _require(err, precision, what)
     return MzvEval(total, err)

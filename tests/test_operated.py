@@ -89,6 +89,36 @@ class TestBranchWords:
             assert model.branch(ladder(comp)) == model.branch_word(word(comp))
 
 
+class TestModelValue:
+    """A model compares, hashes and prints by its five fields, not by its memos."""
+
+    def test_equality_ignores_the_memos(self):
+        model = small_model()
+        twin = OperatorModel(model.name, model.one, model.op, model.embed, model.weight)
+        model.branch(tree_forest(b_plus(2, tree_forest(leaf(1)))))
+        model.branch_word(word([2, 1]))
+        assert model._tree_cache and model._word_cache
+        assert not twin._tree_cache and not twin._word_cache
+        assert model == twin and hash(model) == hash(twin)
+        assert model != OperatorModel(model.name, model.one, model.op, model.embed, -1)
+        assert model != small_model()  # a fresh embedding function
+
+    def test_repr_lists_the_fields(self):
+        model = integration_model()
+        assert repr(model) == (
+            f"OperatorModel(name='integration', one={model.one!r}, op={model.op!r}, "
+            f"embed={model.embed!r}, weight=0)"
+        )
+
+    def test_immutable(self):
+        model = small_model()
+        for field in ("name", "weight", "_tree_cache", "other"):
+            with pytest.raises(AttributeError):
+                setattr(model, field, None)
+            with pytest.raises(AttributeError):
+                delattr(model, field)
+
+
 class TestLift:
     def test_examples(self):
         double = lambda n: 2 * n

@@ -85,6 +85,17 @@ class TestArborifiedPolylog:
         # ln 2, ln^2(2)/2, Li_2(1/2) = pi^2/12 - ln^2(2)/2 and ln^2(2)
         assert abs(brute_polylog_forest(forest, 0.5) - want) <= 1e-15
 
+    @pytest.mark.parametrize("leaves", [171, 256])
+    def test_coefficients_past_the_float_range_are_refused_before_the_kernel(self, monkeypatch, leaves):
+        """The forest of n y-leaves flattens to the word y^n with coefficient n!, past the float range from 171."""
+
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(zeta, "_fixed_polylogs", kernel)
+        with pytest.raises(PrecisionUnreachable, match="certified error inf exceeds 1e-08"):
+            eval_arborified_polylog(Forest([leaf("y")] * leaves), 0.5)
+
     def test_against_series_oracle(self):
         for forest in forests_up_to(4, ("x", "y"), include_empty=False):
             if not convergence_class(forest, Alphabet.XY).is_semiconvergent:

@@ -252,43 +252,75 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# (argv, exit code) of CLI calls that must not load numpy or the identity suites:
-# every exact verb, and eval/polylog inputs refused before the series kernel runs.
-_NUMPY_FREE_CALLS = [
-    (["parse", "2[1]"], 0),
-    (["shuffle-words", "(2)", "(3)", "--lambda", "1"], 0),
-    (["shuffle-trees", "2", "2[1]", "--lambda", "1"], 0),
-    (["flatten", "2[1,1]", "--lambda", "-1"], 0),
-    (["binarize", "(2,1)"], 0),
-    (["binarize-tree", "2[1,1]"], 0),
-    (["reduce", "2[1] 2", "--json"], 0),
-    (["associator", "2", "3", "2[1]", "--lambda", "1"], 0),
-    (["eval", "1[2]"], 3),
-    (["polylog", "(2)", "--z", "1.5"], 3),
-    (["eval", "2[1]", "--precision", "nan"], 3),
-    (["eval", "2 2"], 0),
-    (["polylog", "(2,1)", "--z", "0.9"], 0),
+# The package modules that _IMPORT_GUARD watches, beside numpy, dataclasses,
+# inspect, ast, dis and json: each loads only when a call needs it.
+_FOREST_ALGEBRA, _ZETA, _SUITES = "arbozeta.forest_algebra", "arbozeta.zeta", "arbozeta.suites"
+
+# (argv, exit code, the watched modules that the call is the first to load),
+# run in this order in one fresh interpreter.
+_LAZY_CALLS = [
+    (["parse", "2[1]"], 0, []),
+    (["shuffle-words", "(2)", "(3)", "--lambda", "1"], 0, []),
+    (["binarize", "(2,1)"], 0, []),
+    (["shuffle-trees", "2", "2[1]", "--lambda", "1"], 0, [_FOREST_ALGEBRA]),
+    (["flatten", "2[1,1]", "--lambda", "-1"], 0, []),
+    (["binarize-tree", "2[1,1]"], 0, []),
+    (["associator", "2", "3", "2[1]", "--lambda", "1"], 0, []),
+    (["eval", "1[2]"], 3, [_ZETA]),
+    (["polylog", "(2)", "--z", "1.5"], 3, []),
+    (["eval", "2[1]", "--precision", "nan"], 3, []),
+    (["reduce", "2[1] 2"], 0, []),
+    (["eval", "2 2"], 0, []),
+    (["polylog", "(2,1)", "--z", "0.9"], 0, []),
+    (["eval", "2 2", "--json"], 0, ["json"]),
+    (["polylog", "(2,1)", "--z", "0.9", "--json"], 0, []),
 ]
 
+# Run with CALLS, a list of argv lists, defined before it.
 _IMPORT_GUARD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import arbozeta, arbozeta.cli
 
+WATCHED = ("numpy", "dataclasses", "inspect", "ast", "dis", "json",
+           "arbozeta.forest_algebra", "arbozeta.zeta", "arbozeta.suites")
+
 def loaded():
-    return [name for name in ("numpy", "arbozeta.suites") if name in sys.modules]
+    return [name for name in WATCHED if name in sys.modules]
 
 def call(argv):
+    before = loaded()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = arbozeta.cli.main(argv)
-    return code, out.getvalue(), loaded()
+    return code, out.getvalue(), [name for name in loaded() if name not in before]
 
-report = {"import": loaded()}
-report["calls"] = [call(argv) for argv, _ in json.loads(sys.argv[1])]
-report["eval"] = call(["eval", "2 2", "--json"])
-report["polylog"] = call(["polylog", "(2,1)", "--z", "0.9", "--json"])
+report = {"import": loaded(), "calls": [call(argv) for argv in CALLS]}
+import json
 print(json.dumps(report))
 """
+
+
+def _guarded(calls):
+    """Run ``calls`` through ``_IMPORT_GUARD`` in a fresh interpreter; return each call's stdout.
+
+    Fresh, because pytest and the other tests have imported every module.
+    Checks that ``import arbozeta.cli`` loads no watched module, and that
+    each call ends with its exit code and is the first to load exactly the
+    watched modules listed with it.
+    """
+    argvs = [argv for argv, _, _ in calls]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"CALLS = {argvs!r}\n{_IMPORT_GUARD}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    for (argv, code, first), (got_code, _, got_first) in zip(calls, report["calls"]):
+        assert (got_code, got_first) == (code, first), argv
+    return [out for _, out, _ in report["calls"]]
 
 
 class TestCli:
@@ -432,43 +464,26 @@ class TestCli:
         assert proc.stdout.strip() == "2[1]"
 
     def test_exact_verbs_skip_numpy_and_suites(self):
-        # A fresh interpreter: pytest and the other tests have imported both.
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_GUARD, json.dumps(_NUMPY_FREE_CALLS)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["import"] == []
-        for (argv, code), (got_code, _, loaded) in zip(_NUMPY_FREE_CALLS, report["calls"]):
-            assert (got_code, loaded) == (code, []), argv
-        code, out, loaded = report["eval"]
-        assert (code, loaded) == (0, [])
-        ev = json.loads(out)
+        outputs = _guarded(_LAZY_CALLS)
+        ev = json.loads(outputs[-2])
         assert abs(ev["value"] - math.pi**4 / 36) <= ev["abs_error"] <= 1e-8
-        code, out, loaded = report["polylog"]
-        assert (code, loaded) == (0, [])
         # Li_(2,1)(z) = sum_m z^m H_(m-1) / m^2; the terms past m = 400 add under 1e-18 at z = 0.9.
         harmonic = [0.0]
         for m in range(1, 400):
             harmonic.append(harmonic[-1] + 1 / m)
         want = math.fsum(0.9**m * harmonic[m - 1] / m**2 for m in range(1, 401))
-        ev = json.loads(out)
+        ev = json.loads(outputs[-1])
         assert abs(ev["value"] - want) <= ev["abs_error"] + 1e-15
 
-    def test_unknown_suite_skips_numpy(self):
-        # Its own fresh interpreter, so the guard above still sees eval run without the suites.
-        probe = (
-            "import contextlib, io, sys, arbozeta.cli\n"
-            "with contextlib.redirect_stderr(io.StringIO()):\n"
-            "    code = arbozeta.cli.main(['check', '--suite', 'nope'])\n"
-            "print(code, 'numpy' in sys.modules, 'arbozeta.suites' in sys.modules)"
-        )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["2", "False", "True"]
+    def test_polylog_and_json_load_on_their_own(self):
+        _guarded([
+            (["parse", "2[1]", "--json"], 0, ["json"]),
+            (["polylog", "(2,1)", "--z", "0.9"], 0, [_FOREST_ALGEBRA, _ZETA]),
+        ])
+
+    def test_unknown_suite_loads_the_suites(self):
+        # The suites load the whole package, and still no dataclasses, inspect, ast or dis.
+        _guarded([(["check", "--suite", "nope"], 2, [_FOREST_ALGEBRA, _ZETA, _SUITES])])
 
     @pytest.mark.parametrize("suite", ["reduction-vs-series", "polylog"])
     def test_check_oracles_run_without_numpy(self, suite):
@@ -599,11 +614,14 @@ class TestWeightBound:
 
 # Each was refused only after the work: a star index expanded into all its
 # 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran.
+# The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
+# past the float range, ended in an OverflowError.
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
     (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99"], "certified error 1.11689e+246 exceeds"),
     (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99"], "certified error"),
+    (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
 ]
 
 

@@ -1,4 +1,6 @@
 import math
+import pickle
+from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
@@ -14,6 +16,7 @@ from arbozeta.suites import brute_force_azv
 from arbozeta.trees import Forest, Tree, b_plus, ladder, leaf, tree_forest
 from arbozeta.zeta import (
     MzvCombination,
+    MzvEval,
     MZV_TAIL,
     azv,
     clear_mzv_cache,
@@ -429,6 +432,57 @@ class TestEvalCombination:
             if s:
                 kernel = zeta._mzv(s, flavor, zeta.DEFAULT_MAX_N)
                 assert (ev.value, ev.abs_error) == (kernel.value, kernel.abs_error)
+
+
+class TestResultValues:
+    """The two result types compare, print and refuse changes field by field, like frozen dataclasses."""
+
+    def test_eval_equality_and_hash(self):
+        ev = MzvEval(1.5, 2.5e-12)
+        assert ev == MzvEval(value=1.5, abs_error=2.5e-12)
+        assert ev != MzvEval(1.5, 0.0) and ev != MzvEval(-1.5, 2.5e-12)
+        assert ev != (1.5, 2.5e-12)
+        assert hash(ev) == hash(MzvEval(1.5, 2.5e-12))
+        assert len({ev, MzvEval(1.5, 2.5e-12), MzvEval(0.0, 0.0)}) == 2
+
+    def test_eval_repr(self):
+        assert repr(MzvEval(1.2020569031595942, 2.5e-12)) == "MzvEval(value=1.2020569031595942, abs_error=2.5e-12)"
+        assert repr(MzvEval(-0.5, 0)) == "MzvEval(value=-0.5, abs_error=0)"
+
+    def test_combination_equality(self):
+        comb = MzvCombination({(2, 2): 2, (4,): 1})
+        assert comb == MzvCombination(terms={(4,): 1, (2, 2): 2}, flavor="strict")
+        assert comb != MzvCombination({(2, 2): 2, (4,): 1}, "star")
+        assert comb != MzvCombination({(2, 2): 2})
+        assert comb != {(2, 2): 2, (4,): 1}
+        assert MzvCombination() == MzvCombination({}, "strict")
+        assert MzvCombination().terms is not MzvCombination().terms
+
+    def test_combination_repr(self):
+        assert repr(MzvCombination({(2, 1): Fraction(-1, 2)}, "star")) == (
+            "MzvCombination(terms={(2, 1): Fraction(-1, 2)}, flavor='star')"
+        )
+        assert repr(MzvCombination()) == "MzvCombination(terms={}, flavor='strict')"
+
+    def test_combination_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(MzvCombination({(2,): 1}))
+
+    @pytest.mark.parametrize(
+        "value,field",
+        [(MzvEval(1.0, 0.0), "value"), (MzvEval(1.0, 0.0), "abs_error"), (MzvCombination({(2,): 1}), "terms"),
+         (MzvCombination({(2,): 1}), "flavor"), (MzvCombination(), "other")],
+        ids=["value", "abs_error", "terms", "flavor", "new field"],
+    )
+    def test_fields_cannot_be_set_or_deleted(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+    def test_pickle_round_trip(self):
+        for value in (MzvEval(1.5, 2.5e-12), MzvCombination({(2, 1): Fraction(1, 3)}, "star")):
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestBruteForceAzv:
