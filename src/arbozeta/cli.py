@@ -13,9 +13,10 @@ value, which ``syntax.render`` prints as text or JSON.
 Each verb loads only the modules it runs.  ``parse``, ``shuffle-words`` and
 ``binarize`` need neither ``forest_algebra`` nor ``zeta``; ``shuffle-trees``,
 ``flatten``, ``binarize-tree`` and ``associator`` load ``forest_algebra``;
-``reduce``, ``eval`` and ``polylog`` load ``zeta``, which imports
-``forest_algebra``; only ``check`` loads the identity suites, and only
-``--json`` loads ``json``.  The series kernel behind ``eval`` and
+``reduce`` and ``eval`` load ``zeta`` and ``forest_algebra``; ``polylog``
+loads ``zeta``, and ``forest_algebra`` only for a forest, since the polylog
+of a word is never flattened; only ``check`` loads the identity suites,
+and only ``--json`` loads ``json``.  The series kernel behind ``eval`` and
 ``polylog`` works in fixed point at 2^-128 in Python ints.  On a 2-vCPU
 shared VM, with ``PYTHONDONTWRITEBYTECODE=1`` and no cached bytecode,
 ``python -c pass`` took 70 ms in a fresh process, ``parse "2[1]"`` 109 ms

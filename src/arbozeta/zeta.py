@@ -20,6 +20,13 @@ Every evaluation returns a value with a certified absolute error bound made
 of the series tail, the fixed-point roundoff, the conversion to float and the
 float arithmetic that combines the factors.
 
+Every evaluator works in one order: plan, refuse, kernel, combine.  A plan
+is the pair that :func:`_horizon` returns, a horizon and the tail-plus-roundoff
+bound of each suffix depth.  All plans of a call are made before any kernel
+runs, so a horizon past the cap, or a polylog bound that the plans already put
+above the precision, is refused first; then the kernel runs once per index
+and :func:`_combine` sums the terms.
+
 Roundoff of the fixed-point kernel.  With X = 2^P (P = 128) the kernel holds
 floor(X z^m), floor(X / m^r) and the strict inner sums S_v(m) =
 sum_{m > m_1 > ...} prod_i m_i^-v_i at scale X.  Every stored number lies
@@ -55,7 +62,6 @@ from .errors import (
     NotSemiconvergent,
     PrecisionUnreachable,
 )
-from .forest_algebra import ConvergenceClass, convergence_class, flatten
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest, _Record, _set
 from .words import MAX_STAR_PARTS, Word, binarise, check_weight, debinarise
@@ -163,8 +169,8 @@ def _gamma(m: int, u: float) -> float:
 
 # -- the power-series kernel --------------------------------------------------------
 
-def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
-    """Bound on sum_{m > n} z^m m^-first A(m), A the strict nested sum over ``inner``.
+def _tail_bound(inner: Composition, z: float, n: int) -> float:
+    """Bound on sum_{m > n} z^m A(m) / m, A the strict nested sum over ``inner``.
 
     A(m) is at most the product over inner parts p of zeta(p) <= p/(p-1) for
     p >= 2 and of H_(m-1) <= 1 + ln m for p = 1.  From m = n+1 on the terms of
@@ -178,7 +184,7 @@ def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
         return math.inf
     log_tail = (
         (n + 1) * math.log(z)
-        - first * math.log(n + 1)
+        - math.log(n + 1)
         + ones * math.log(log_end)
         + sum(math.log(p / (p - 1)) for p in inner if p > 1)
         - math.log1p(-ratio)
@@ -189,18 +195,19 @@ def _tail_bound(first: int, inner: Composition, z: float, n: int) -> float:
         return math.inf
 
 
-def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, float]:
-    """The first horizon FIRST_N * 2^k, at most ``cap``, whose tail bound meets ``tail``.
+def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, list[float]]:
+    """The plan of Li_s(z): a horizon and the tail-plus-roundoff bound of each suffix depth.
 
-    The composition (1, s[1:]) has the largest tail of all suffixes of
-    binarise(s), so its bound covers every suffix.
+    The horizon is the first FIRST_N * 2^k, at most ``cap``, whose tail bound
+    meets ``tail``.  The composition (1, s[1:]) has the largest tail of all
+    suffixes of binarise(s), so that bound plus the roundoff bounds each depth.
     """
     n = min(FIRST_N, cap)
-    while (tail_bound := _tail_bound(1, s[1:], z, n)) > tail:
+    while (tail_bound := _tail_bound(s[1:], z, n)) > tail:
         if n >= cap:
             raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
         n = min(2 * n, cap)
-    return n, tail_bound
+    return n, [tail_bound + _roundoff(depth, z, n) for depth in range(len(s) + 1)]
 
 
 def _roundoff(depth: int, z: float, n: int) -> float:
@@ -290,19 +297,16 @@ def _kept(cache: dict, key, keep: bool, build):
     return value
 
 
-def _suffix_polylogs(
-    s: Composition, z: float, tail: float, cap: int
-) -> list[tuple[float, float]]:
-    """(value, error bound) of Li_u(z) for every nonempty suffix u of binarise(s).
+def _suffix_polylogs(s: Composition, z: float, plan: tuple[int, list[float]]) -> list[tuple[float, float]]:
+    """(value, error bound) of Li_u(z) for every suffix u of binarise(s), the empty one last.
 
     Entry p is the suffix that starts at letter p.  Each value is one
-    correctly rounded division of the fixed-point sum; its bound adds the
-    tail, the fixed-point roundoff and the rounding to float.
+    correctly rounded division of the fixed-point sum at the plan's horizon;
+    its bound adds the plan's bound for its depth and the rounding to float.
     """
-    n, tail_bound = _horizon(s, z, tail, cap)
-    bounds = [tail_bound + _roundoff(depth, z, n) for depth in range(len(s) + 1)]
+    n, bounds = plan
     values = [(len(u), total / _SCALE3) for u, total in _fixed_polylogs(s, z, n).items()]
-    return [(value, bounds[depth] + _F64_U * value) for depth, value in values]
+    return [(value, bounds[depth] + _F64_U * value) for depth, value in values] + [(1.0, 0.0)]
 
 
 # -- multiple zeta values ---------------------------------------------------------------
@@ -321,8 +325,8 @@ def _holder(s: Composition, cap: int) -> MzvEval:
     the final float sum of n + 1 products adds gamma_(n+2).
     """
     n = sum(s)
-    after = _suffix_polylogs(s, 0.5, MZV_TAIL, cap) + [(1.0, 0.0)]
-    before = _suffix_polylogs(_dual(s), 0.5, MZV_TAIL, cap) + [(1.0, 0.0)]
+    plans = [(t, _horizon(t, 0.5, MZV_TAIL, cap)) for t in (s, _dual(s))]
+    after, before = [_suffix_polylogs(t, 0.5, plan) for t, plan in plans]
     total = size = err = 0.0
     for k in range(n + 1):
         (a, da), (b, db) = before[n - k], after[k]
@@ -414,6 +418,8 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     is canonicalized first, so divergent basis forests are admissible as long
     as they cancel.
     """
+    from .forest_algebra import ConvergenceClass, convergence_class, flatten
+
     comb = _as_comb(comb)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -482,18 +488,34 @@ def star_to_strict(s) -> MzvCombination:
 
 # -- polylogarithms ----------------------------------------------------------------
 
-def _check_polylog_args(z: float, precision: float):
+def _check_polylog_args(z: float, precision: float, max_n: int | None) -> int:
     if not 0.0 <= z < 1.0:
         raise DomainError(f"polylog series needs 0 <= z < 1, got {z}")
     _check_precision(precision)
+    return summation_cap(max_n)
 
 
-def _polylog(s: Composition, z: float, tail: float, cap: int) -> MzvEval:
-    if not s:
-        return MzvEval(1.0, 0.0)
-    if z == 0.0:
-        return MzvEval(0.0, 0.0)
-    return MzvEval(*_suffix_polylogs(s, z, tail, cap)[0])
+def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: float, cap: int, what: str) -> MzvEval:
+    """Sum of coeff * Li_s(z) over (coeff, s) pairs: plan, refuse, kernel, combine.
+
+    Coefficients that sum past the float range have an infinite bound.  The tails
+    take at most half the budget.  The planned bounds, summed in _combine's order
+    and each below its final counterpart, are a float lower bound of the final error.
+    """
+    size = sum(abs(coeff) for coeff, _ in terms)
+    if size >= _FLOAT_OVERFLOW:
+        _require(math.inf, precision, what)
+    plans = [_horizon(s, z, precision / (2.0 * float(size)), cap) if s and z else None for _, s in terms]
+    planned = 0.0
+    for (coeff, s), plan in zip(terms, plans):
+        planned += abs(float(coeff)) * plan[1][len(s)] if plan else 0.0
+    _require(planned, precision, what)
+    total, err = _combine([
+        (coeff, MzvEval(*_suffix_polylogs(s, z, plan)[0]) if plan else MzvEval(0.0 if s else 1.0, 0.0))
+        for (coeff, s), plan in zip(terms, plans)
+    ])
+    _require(err, precision, what)
+    return MzvEval(total, err)
 
 
 def eval_polylog(
@@ -502,22 +524,11 @@ def eval_polylog(
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
 ) -> MzvEval:
-    """Single-variable multiple polylogarithm via its power series, 0 <= z < 1.
-
-    The tail and roundoff bounds at the horizon do not depend on the value,
-    so a precision they already exceed is refused before the kernel runs.
-    """
+    """Single-variable multiple polylogarithm via its power series, 0 <= z < 1."""
     s = tuple(s)
     _validate_parts(s)
-    _check_polylog_args(z, precision)
-    cap = summation_cap(max_n)
-    what = f"polylog {s} at z={z}"
-    if s and z:
-        n, tail_bound = _horizon(s, z, precision / 2, cap)
-        _require(tail_bound + _roundoff(len(s), z, n), precision, what)
-    ev = _polylog(s, z, precision / 2, cap)
-    _require(ev.abs_error, precision, what)
-    return ev
+    cap = _check_polylog_args(z, precision, max_n)
+    return _eval_polylogs([(1, s)], z, precision, cap, f"polylog {s} at z={z}")
 
 
 def eval_arborified_polylog(
@@ -527,24 +538,12 @@ def eval_arborified_polylog(
     max_n: int | None = None,
 ) -> MzvEval:
     """Arborified polylogarithm of a semiconvergent binary forest."""
-    _check_polylog_args(z, precision)
+    from .forest_algebra import convergence_class, flatten
+
+    cap = _check_polylog_args(z, precision, max_n)
     comb = _as_comb(forest_or_comb)
     for forest in comb:
         if not convergence_class(forest, Alphabet.XY).is_semiconvergent:
             raise NotSemiconvergent(f"forest {forest!r} is not semiconvergent")
-    words = flatten(comb, 0)
-    if words.is_zero():
-        return MzvEval(0.0, 0.0)
-    cap = summation_cap(max_n)
-    what = f"arborified polylog at z={z}"
-    # The tails of all terms together take at most half the budget.  Float
-    # arithmetic cannot carry coefficients that sum past the float range, so
-    # their bound is infinite, and that is known before the kernel runs.
-    size = sum(abs(c) for _, c in words.items())
-    if size >= _FLOAT_OVERFLOW:
-        _require(math.inf, precision, what)
-    tail = precision / (2.0 * float(size))
-    terms = [(coeff, _polylog(debinarise(w).letters, z, tail, cap)) for w, coeff in words.sorted_items()]
-    total, err = _combine(terms)
-    _require(err, precision, what)
-    return MzvEval(total, err)
+    terms = [(coeff, debinarise(w).letters) for w, coeff in flatten(comb, 0).sorted_items()]
+    return _eval_polylogs(terms, z, precision, cap, f"arborified polylog at z={z}")

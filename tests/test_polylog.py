@@ -7,8 +7,18 @@ from arbozeta import zeta
 from arbozeta.errors import DomainError, NotSemiconvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class
 from arbozeta.suites import brute_polylog_forest
-from arbozeta.trees import Alphabet, Forest, b_plus, leaf, tree_forest
-from arbozeta.zeta import eval_arborified_polylog, eval_polylog
+from arbozeta.trees import Alphabet, Forest, b_plus, ladder, leaf, tree_forest
+from arbozeta.zeta import eval_arborified_polylog, eval_mzv, eval_polylog
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail the test if the fixed-point kernel runs."""
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(zeta, "_fixed_polylogs", kernel)
 
 
 class TestPolylog:
@@ -38,15 +48,15 @@ class TestPolylog:
         with pytest.raises(DomainError):
             eval_polylog((2,), -0.1)
 
-    def test_unreachable_bound_is_refused_before_the_kernel(self, monkeypatch):
+    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel):
         """(1^256) at z = 0.99: the roundoff bound alone is near 1e246."""
-
-        def kernel(*args):
-            raise AssertionError("the kernel ran")
-
-        monkeypatch.setattr(zeta, "_fixed_polylogs", kernel)
         with pytest.raises(PrecisionUnreachable, match="certified error 1.11689e[+]246 exceeds 1e-08"):
             eval_polylog((1,) * 256, 0.99)
+
+    def test_holder_factors_are_planned_before_the_kernel(self, no_kernel):
+        """zeta(5) fits in 64 terms, but its Hölder dual (2, 1, 1, 1) needs 128."""
+        with pytest.raises(PrecisionUnreachable, match=r"^polylog \(2, 1, 1, 1\) at z=0.5 needs a horizon beyond 64$"):
+            eval_mzv((5,), max_n=64)
 
     def test_partial_sum_value(self):
         ev = eval_polylog((2,), 0.5, 1e-10)
@@ -85,14 +95,15 @@ class TestArborifiedPolylog:
         # ln 2, ln^2(2)/2, Li_2(1/2) = pi^2/12 - ln^2(2)/2 and ln^2(2)
         assert abs(brute_polylog_forest(forest, 0.5) - want) <= 1e-15
 
+    @pytest.mark.parametrize("vertices,error", [(30, "0.00572193"), (100, "1.38227e[+]74")], ids=["30", "100"])
+    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel, vertices, error):
+        """The y-ladder of n vertices flattens to the one word (1^n)."""
+        with pytest.raises(PrecisionUnreachable, match=f"certified error {error} exceeds 1e-08"):
+            eval_arborified_polylog(ladder("y" * vertices), 0.99)
+
     @pytest.mark.parametrize("leaves", [171, 256])
-    def test_coefficients_past_the_float_range_are_refused_before_the_kernel(self, monkeypatch, leaves):
+    def test_coefficients_past_the_float_range_are_refused_before_the_kernel(self, no_kernel, leaves):
         """The forest of n y-leaves flattens to the word y^n with coefficient n!, past the float range from 171."""
-
-        def kernel(*args):
-            raise AssertionError("the kernel ran")
-
-        monkeypatch.setattr(zeta, "_fixed_polylogs", kernel)
         with pytest.raises(PrecisionUnreachable, match="certified error inf exceeds 1e-08"):
             eval_arborified_polylog(Forest([leaf("y")] * leaves), 0.5)
 

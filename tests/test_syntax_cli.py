@@ -476,9 +476,11 @@ class TestCli:
         assert abs(ev["value"] - want) <= ev["abs_error"] + 1e-15
 
     def test_polylog_and_json_load_on_their_own(self):
+        # The polylog of a word never flattens, so only that of a forest loads forest_algebra.
         _guarded([
             (["parse", "2[1]", "--json"], 0, ["json"]),
-            (["polylog", "(2,1)", "--z", "0.9"], 0, [_FOREST_ALGEBRA, _ZETA]),
+            (["polylog", "(2,1)", "--z", "0.9"], 0, [_ZETA]),
+            (["polylog", "x[y]", "--z", "0.9"], 0, [_FOREST_ALGEBRA]),
         ])
 
     def test_unknown_suite_loads_the_suites(self):
@@ -613,7 +615,8 @@ class TestWeightBound:
 
 
 # Each was refused only after the work: a star index expanded into all its
-# 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran.
+# 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran,
+# for a word and for the 100-vertex y-ladder, which flattens to the same word.
 # The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
 # past the float range, ended in an OverflowError.
 _REFUSED_BEFORE_THE_WORK = [
@@ -621,6 +624,7 @@ _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
     (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99"], "certified error 1.11689e+246 exceeds"),
     (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99"], "certified error"),
+    (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99"], "arborified polylog at z=0.99: certified error"),
     (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
 ]
 

@@ -198,7 +198,7 @@ class TestFixedPointKernel:
     def test_bounds_past_float_range_are_infinite(self):
         # (1 + ln 64)^1000 and the tail majorant of (1, 1^1598) at n = 1024 both overflow a float.
         assert zeta._roundoff(1000, 0.5, 64) == math.inf
-        assert zeta._tail_bound(1, (1,) * 1598, 0.5, 1024) == math.inf
+        assert zeta._tail_bound((1,) * 1598, 0.5, 1024) == math.inf
 
     def test_clear_empties_kernel_memos(self):
         eval_mzv((3, 1, 2), "star", 1e-10)
@@ -279,6 +279,9 @@ class TestPrecisionArgument:
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
             eval_polylog((3,), 0.5, 1e-10, max_n=0)
+        y = tree_forest(leaf("y"))
+        with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
+            eval_arborified_polylog(LinComb({y: 1}) - LinComb({y: 1}), 0.5, 1e-10, max_n=0)
 
 
 class TestStarToStrict:
