@@ -18,16 +18,16 @@ _EXPORTS = {
     "forest_algebra": (
         "ConvergenceClass", "associator", "binarise_comb", "binarise_forest", "binarise_tree",
         "convergence_class", "debinarise_forest", "debinarise_tree", "flatten", "flatten_forest",
-        "is_convergent_forest", "shuffle_forests", "shuffle_forests_basis",
+        "shuffle_forests", "shuffle_forests_basis",
     ),
     "lincomb": ("LinComb",),
     "trees": (
         "EMPTY_FOREST", "Alphabet", "Forest", "Tree", "b_plus", "concat_forests", "ladder",
-        "ladder_decorations", "leaf", "tree_forest",
+        "leaf", "tree_forest",
     ),
     "words": (
         "EMPTY_WORD", "Word", "binarise", "concat_words", "debinarise", "is_convergent_word",
-        "is_semiconvergent_word", "shuffle_words", "shuffle_words_basis", "word",
+        "is_semiconvergent_word", "shuffle_words", "shuffle_words_basis",
     ),
     "zeta": (
         "MzvCombination", "MzvEval", "azv", "eval_arborified_polylog", "eval_combination",

@@ -69,9 +69,8 @@ def forests_with_weight(weight: int) -> tuple[Forest, ...]:
     return _multisets(trees_with_weight, weight)
 
 
-def forests_up_to_weight(weight: int, include_empty: bool = True):
-    start = 0 if include_empty else 1
-    for w in range(start, weight + 1):
+def forests_up_to_weight(weight: int):
+    for w in range(weight + 1):
         yield from forests_with_weight(w)
 
 
@@ -112,8 +111,9 @@ def linear_extension_count(forest: Forest) -> int:
     return total
 
 
-def random_composition(rng: random.Random, weight: int, first_min: int = 2) -> tuple[int, ...]:
-    parts = [rng.randint(first_min, max(first_min, weight - 1)) if weight > first_min else weight]
+def random_composition(rng: random.Random, weight: int) -> tuple[int, ...]:
+    """Random composition of ``weight`` whose first part is >= 2."""
+    parts = [rng.randint(2, max(2, weight - 1)) if weight > 2 else weight]
     remaining = weight - parts[0]
     while remaining:
         p = rng.randint(1, remaining)

@@ -4,25 +4,12 @@ Verbs: parse, shuffle-words, shuffle-trees, flatten, binarize, binarize-tree,
 reduce, eval, polylog, associator, check.  Exit codes: 0 success, 1 failed
 checks, 2 parse error, 3 domain error.  Brackets deeper than
 ``syntax.MAX_NESTING`` (100) are a parse error; a zeta or polylog index, a
-word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), and
-a star value of an index with more than ``words.MAX_STAR_PARTS`` (13) parts
-are domain errors, raised before any work.  ``--max-n`` caps the polylog
-horizon of ``eval`` and ``polylog``.  Every verb but ``check`` computes one
-value, which ``syntax.render`` prints as text or JSON.
-
-Each verb loads only the modules it runs.  ``parse``, ``shuffle-words`` and
-``binarize`` need neither ``forest_algebra`` nor ``zeta``; ``shuffle-trees``,
-``flatten``, ``binarize-tree`` and ``associator`` load ``forest_algebra``;
-``reduce`` and ``eval`` load ``zeta`` and ``forest_algebra``; ``polylog``
-loads ``zeta``, and ``forest_algebra`` only for a forest, since the polylog
-of a word is never flattened; only ``check`` loads the identity suites,
-and only ``--json`` loads ``json``.  The series kernel behind ``eval`` and
-``polylog`` works in fixed point at 2^-128 in Python ints.  On a 2-vCPU
-shared VM, with ``PYTHONDONTWRITEBYTECODE=1`` and no cached bytecode,
-``python -c pass`` took 70 ms in a fresh process, ``parse "2[1]"`` 109 ms
-and ``eval "2[1]"`` 125 ms (medians of 15 calls; 134 and 135 ms when every
-verb loaded every module).  ``check --suite all`` runs its suites in up to
-one worker process per CPU.
+word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), a
+``shuffle-words`` of two non-empty words of more than that many letters in
+all, and a star value of an index with more than ``words.MAX_STAR_PARTS``
+(13) parts are domain errors, raised before any work.  ``--max-n`` caps the
+polylog horizon of ``eval`` and ``polylog``.  Every verb but ``check``
+computes one value, which ``syntax.render`` prints as text or JSON.
 """
 from __future__ import annotations
 

@@ -240,7 +240,3 @@ def convergence_class(forest: Forest, alphabet: Alphabet | None = None) -> Conve
             return ConvergenceClass.CONV_XY
         return ConvergenceClass.SEMI_XY
     return ConvergenceClass.NOT_CONVERGENT
-
-
-def is_convergent_forest(forest: Forest) -> bool:
-    return convergence_class(forest).is_convergent

@@ -66,10 +66,6 @@ class LinComb(Generic[B]):
             out._terms = {basis(b): _norm(c) for b, c in sums.items() if c}
         return out
 
-    @classmethod
-    def zero(cls) -> "LinComb[B]":
-        return cls()
-
     def items(self) -> Iterator[tuple[B, Coeff]]:
         return iter(self._terms.items())
 
@@ -106,9 +102,6 @@ class LinComb(Generic[B]):
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "LinComb[B]":
-        return self.scale(-1)
 
     def scale(self, q: Coeff) -> "LinComb[B]":
         return LinComb._unchecked({b: c * q for b, c in self._terms.items()})

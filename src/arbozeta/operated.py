@@ -1,4 +1,4 @@
-"""Branched and lifted maps for user-supplied operators, with exact models.
+"""Branched maps for user-supplied operators, with exact models.
 
 An operator model packs a commutative-algebra carrier, the map being
 branched, and an embedding of decorations into the carrier.  Carrier values
@@ -98,17 +98,6 @@ class OperatorModel(_Record):
 
     def _linear(self, terms: list):
         return type(self.one).combination(terms) if terms else self.one * 0
-
-
-def lift(mapping: Callable[[Decoration], Decoration], value):
-    """Decoration-wise relabeling of trees, forests or words (shape-preserving)."""
-    if isinstance(value, Tree):
-        return Tree(mapping(value.decoration), tuple(lift(mapping, c) for c in value.children))
-    if isinstance(value, Forest):
-        return Forest(tuple(lift(mapping, t) for t in value.trees))
-    if isinstance(value, Word):
-        return Word(tuple(mapping(l) for l in value.letters))
-    raise TypeError(f"cannot lift over {type(value).__name__}")
 
 
 def check_rota_baxter(op: Callable, samples: list[tuple], lam: Coeff) -> bool:

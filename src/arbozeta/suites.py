@@ -256,7 +256,7 @@ def _companion(a: Forest, b: Forest) -> LinComb:
             for i, ta in enumerate(a.trees)
             for j, tb in enumerate(b.trees)
         )
-        return sum(pairs, LinComb.zero())
+        return sum(pairs, LinComb())
     (ta,), (tb,) = a.trees, b.trees
     left = _companion(tree_forest(*ta.children), b).map_basis(lambda f: tree_forest(b_plus(ta.decoration, f)))
     right = _companion(a, tree_forest(*tb.children)).map_basis(lambda f: tree_forest(b_plus(tb.decoration, f)))
@@ -301,7 +301,7 @@ def suite_tree_shuffle(bound: int, precision: float) -> Iterator[dict]:
         )
 
     products = concat_comb(pair(a, d), pair(b, c)) + concat_comb(pair(b, d), pair(a, c))
-    deep = LinComb.zero()
+    deep = LinComb()
     for u, v in ((a, b), (b, a)):
         for p, q, r in permutations((u, c, d)):
             chain = b_plus(p, tree_forest(b_plus(q, tree_forest(leaf(r)))))
@@ -868,7 +868,7 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
     return MzvEval(value, err)
 
 
-def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:
+def brute_polylog_forest(forest: Forest, z: float) -> float:
     """Power-series oracle for arborified polylogarithms on [0, z], z < 1.
 
     Realizes the branched integration directly on truncated power series:
@@ -877,6 +877,7 @@ def brute_polylog_forest(forest: Forest, z: float, terms: int = 400) -> float:
     the flattening/reduction path.  A series is held as its lowest degree and
     the coefficients from there up to degree ``terms - 1``.
     """
+    terms = 400
 
     def times(a, b):
         (low_a, ca), (low_b, cb) = a, b

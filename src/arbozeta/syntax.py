@@ -217,24 +217,6 @@ class _Parser:
         return LinComb(terms)
 
 
-def parse_forest(text: str) -> Forest:
-    parser = _Parser(text)
-    forest = parser.parse_top_forest()
-    if not parser.done():
-        raise ParseError(f"trailing input at {parser.peek()[1]!r}")
-    return forest
-
-
-def parse_word(text: str) -> Word:
-    parser = _Parser(text)
-    if parser.done():
-        return Word()
-    w = parser.parse_word()
-    if not parser.done():
-        raise ParseError(f"trailing input at {parser.peek()[1]!r}")
-    return w
-
-
 def parse_lincomb(text: str) -> LinComb:
     parser = _Parser(text)
     if parser.done():

@@ -233,9 +233,6 @@ class Forest(_Value):
         for tree in self.trees:
             yield from tree.vertices()
 
-    def decoration_count(self, dec: Decoration) -> int:
-        return sum(1 for v in self.vertices() if v == dec)
-
     def weight(self) -> int:
         """Additive weight: sum of decorations; positive-integer alphabet only."""
         if self.trees and self.alphabet is not Alphabet.POSINT:
@@ -280,21 +277,3 @@ def ladder(decorations: Iterable[Decoration]) -> Forest:
     for dec in reversed(decs):
         forest = tree_forest(b_plus(dec, forest))
     return forest
-
-
-def ladder_decorations(forest: Forest) -> list[Decoration]:
-    """Inverse of :func:`ladder` on ladder forests (root-to-leaf order), or raise."""
-    if not forest:
-        return []
-    if not forest.is_tree():
-        raise ValueError("not a single ladder tree")
-    out = []
-    node = forest.trees[0]
-    while True:
-        out.append(node.decoration)
-        if not node.children:
-            return out
-        if len(node.children) > 1:
-            raise ValueError("tree has a branching vertex")
-        node = node.children[0]
-

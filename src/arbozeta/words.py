@@ -5,10 +5,10 @@ and anti-stuffle (lambda = -1) products through one recursion; the contraction
 term multiplies letters in the additive semigroup of positive integers, so a
 nonzero lambda demands that alphabet.
 
-Validation happens where values enter: the public ``Word``/``word``
-constructors check every letter, and the product entry points check the
-alphabets and the semigroup condition.  The recursion then builds its terms
-in plain dicts and through ``Word._unchecked``, never re-validating a term.
+Validation happens where values enter: the public ``Word`` constructor checks
+every letter, and the product entry points check the alphabets and the
+semigroup condition.  The recursion then builds its terms in plain dicts and
+through ``Word._unchecked``, never re-validating a term.
 
 ``Word`` is an immutable ``__slots__`` value like ``Tree`` and ``Forest``; it
 hashes its letters once, at construction.  Its sort key and alphabet are
@@ -71,12 +71,6 @@ class Word(_Value):
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def __getitem__(self, idx):
-        return self.letters[idx]
-
-    def decoration_count(self, dec: Decoration) -> int:
-        return sum(1 for l in self.letters if l == dec)
-
     def weight(self) -> int:
         """Additive weight; positive-integer alphabet only."""
         if self.letters and self.alphabet is not Alphabet.POSINT:
@@ -88,10 +82,6 @@ class Word(_Value):
 
 
 EMPTY_WORD = Word()
-
-
-def word(letters: Iterable[Decoration]) -> Word:
-    return Word(tuple(letters))
 
 
 def concat_words(a: Word, b: Word) -> Word:
@@ -111,9 +101,16 @@ _SHUFFLE_CACHE: dict = {}
 
 
 def shuffle_words_basis(a: Word, b: Word, lam: Coeff) -> LinComb[Word]:
-    """Lambda-shuffle of two basis words."""
+    """Lambda-shuffle of two basis words.
+
+    Two non-empty words of more than MAX_WEIGHT letters in all are refused,
+    since the recursion goes one level deeper per letter.
+    """
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    return _shuffle_rec(a.letters, b.letters, _require_semigroup(lam, alphabet))
+    lam = _require_semigroup(lam, alphabet)
+    if a and b and len(a) + len(b) > MAX_WEIGHT:
+        raise DomainError(f"shuffle of words of {len(a) + len(b)} letters is above the length bound {MAX_WEIGHT}")
+    return _shuffle_rec(a.letters, b.letters, lam)
 
 
 def _prepend_into(sums: dict, letter: Decoration, comb: LinComb[Word], coeff: Coeff):
@@ -179,6 +176,7 @@ def is_semiconvergent_word(w: Word) -> bool:
 
 # The heaviest zeta or polylog index, and word or tree to binarise, that is
 # accepted; a binarised word or tree has at most this many letters or levels.
+# It also bounds the letters of two non-empty words that are lambda-shuffled.
 MAX_WEIGHT = 256
 # The longest star zeta index that is expanded into its 2^(parts - 1) strict merges.
 MAX_STAR_PARTS = 13

@@ -23,9 +23,10 @@ float arithmetic that combines the factors.
 Every evaluator works in one order: plan, refuse, kernel, combine.  A plan
 is the pair that :func:`_horizon` returns, a horizon and the tail-plus-roundoff
 bound of each suffix depth.  All plans of a call are made before any kernel
-runs, so a horizon past the cap, or a polylog bound that the plans already put
-above the precision, is refused first; then the kernel runs once per index
-and :func:`_combine` sums the terms.
+runs, those of both Hölder factors of every uncached zeta value and of the
+merges of every uncached star index included, so a horizon past the cap, or a
+polylog bound that the plans already put above the precision, is refused
+first; then the kernel runs once per index and :func:`_combine` sums the terms.
 
 Roundoff of the fixed-point kernel.  With X = 2^P (P = 128) the kernel holds
 floor(X z^m), floor(X / m^r) and the strict inner sums S_v(m) =
@@ -317,15 +318,15 @@ def _dual(s: Composition) -> Composition:
     return debinarise(Word(tuple(swap[c] for c in reversed(binarise(s).letters)))).letters
 
 
-def _holder(s: Composition, cap: int) -> MzvEval:
-    """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor.
+def _holder(plans: list[tuple[Composition, tuple[int, list[float]]]]) -> MzvEval:
+    """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor,
+    from the plans of s and of its dual.
 
     Suffixes of tau(w) are the tau-images of prefixes of w, so two kernel
     passes give every factor.  Products propagate |a| db + |b| da + da db, and
     the final float sum of n + 1 products adds gamma_(n+2).
     """
-    n = sum(s)
-    plans = [(t, _horizon(t, 0.5, MZV_TAIL, cap)) for t in (s, _dual(s))]
+    n = sum(plans[0][0])
     after, before = [_suffix_polylogs(t, 0.5, plan) for t, plan in plans]
     total = size = err = 0.0
     for k in range(n + 1):
@@ -355,20 +356,33 @@ def _combine(terms) -> tuple[float, float]:
 _MZV_CACHE: dict[tuple[str, Composition, int], MzvEval] = {}
 
 
-def _mzv(s: Composition, flavor: str, cap: int) -> MzvEval:
-    """zeta(s) or zeta*(s) at the kernel's floor, through the cache.
+def _plan(key: tuple[str, Composition, int], plans: dict) -> None:
+    """Plan zeta(s) or zeta*(s), key = (flavor, s, cap), into ``plans`` unless it is cached.
 
-    The key holds the horizon cap, because a lower cap can leave a larger bound.
+    A strict plan is the pair of _horizon plans of s and of its dual, a star
+    plan the merges of s, each of which is planned in turn.  The cache key
+    holds the horizon cap, because a lower cap can leave a larger bound.
     """
-    key = (flavor, s, cap)
+    if key in _MZV_CACHE or key in plans:
+        return
+    flavor, s, cap = key
+    if flavor == "strict":
+        plans[key] = [(t, _horizon(t, 0.5, MZV_TAIL, cap)) for t in (s, _dual(s))]
+    else:
+        plans[key] = star_to_strict(s).sorted_items()
+        for t, _ in plans[key]:
+            _plan(("strict", t, cap), plans)
+
+
+def _mzv(key: tuple[str, Composition, int], plans: dict) -> MzvEval:
+    """zeta(s) or zeta*(s) at the kernel's floor, from the cache or else from its plan."""
     ev = _MZV_CACHE.get(key)
     if ev is None:
+        flavor, _, cap = key
         if flavor == "strict":
-            ev = _holder(s, cap)
+            ev = _holder(plans[key])
         else:
-            merges = star_to_strict(s).sorted_items()
-            total, err = _combine([(c, _mzv(t, "strict", cap)) for t, c in merges])
-            ev = MzvEval(total, err)
+            ev = MzvEval(*_combine([(c, _mzv(("strict", t, cap), plans)) for t, c in plans[key]]))
         _MZV_CACHE[key] = ev
     return ev
 
@@ -440,13 +454,19 @@ def eval_combination(
     precision: float = DEFAULT_PRECISION,
     max_n: int | None = None,
 ) -> MzvEval:
-    """Sum of coeff * zeta(index), each term at the kernel's floor."""
+    """Sum of coeff * zeta(index), each term at the kernel's floor.
+
+    Every value that the cache lacks is planned, in the order of evaluation,
+    before any kernel runs.
+    """
     _check_precision(precision)
     cap = summation_cap(max_n)
-    terms = [
-        (coeff, _mzv(index, comb.flavor, cap) if index else MzvEval(1.0, 0.0))
-        for index, coeff in comb.sorted_items()
-    ]
+    items = comb.sorted_items()
+    plans: dict = {}
+    for index, _ in items:
+        if index:
+            _plan((comb.flavor, index, cap), plans)
+    terms = [(coeff, _mzv((comb.flavor, index, cap), plans) if index else MzvEval(1.0, 0.0)) for index, coeff in items]
     total, err = _combine(terms)
     _require(err, precision, "combination")
     return MzvEval(total, err)

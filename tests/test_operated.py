@@ -17,14 +17,13 @@ from arbozeta.operated import (
     cumsum_strict,
     integrate_from_zero,
     integration_model,
-    lift,
     nonstrict_sum_model,
     strict_sum_model,
     verify_factorization,
     verify_tree_shuffle_morphism,
 )
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import Word, word
+from arbozeta.words import Word
 
 
 def small_model():
@@ -74,19 +73,19 @@ class TestBranchWords:
 
     def test_single_letter(self):
         model = small_model()
-        assert model.branch_word(word([3])) == model.op(model.embed(3))
+        assert model.branch_word(Word([3])) == model.op(model.embed(3))
 
     def test_two_letters(self):
         model = small_model()
         inner = model.op(model.embed(2))
-        assert model.branch_word(word([1, 2])) == model.op(model.embed(1) * inner)
+        assert model.branch_word(Word([1, 2])) == model.op(model.embed(1) * inner)
 
     def test_agrees_with_branch_on_ladders(self):
         from arbozeta.trees import ladder
 
         model = small_model()
         for comp in [(2,), (1, 2), (3, 1, 2)]:
-            assert model.branch(ladder(comp)) == model.branch_word(word(comp))
+            assert model.branch(ladder(comp)) == model.branch_word(Word(comp))
 
 
 class TestModelValue:
@@ -96,7 +95,7 @@ class TestModelValue:
         model = small_model()
         twin = OperatorModel(model.name, model.one, model.op, model.embed, model.weight)
         model.branch(tree_forest(b_plus(2, tree_forest(leaf(1)))))
-        model.branch_word(word([2, 1]))
+        model.branch_word(Word([2, 1]))
         assert model._tree_cache and model._word_cache
         assert not twin._tree_cache and not twin._word_cache
         assert model == twin and hash(model) == hash(twin)
@@ -117,22 +116,6 @@ class TestModelValue:
                 setattr(model, field, None)
             with pytest.raises(AttributeError):
                 delattr(model, field)
-
-
-class TestLift:
-    def test_examples(self):
-        double = lambda n: 2 * n
-        assert lift(double, Forest()) == Forest()
-        assert lift(double, leaf(3)) == leaf(6)
-        assert lift(double, b_plus(1, tree_forest(leaf(2)))) == b_plus(2, tree_forest(leaf(4)))
-
-    def test_shape_preserving(self):
-        tree = Tree(2, (leaf(1), b_plus(3, tree_forest(leaf(1)))))
-        image = lift(lambda n: n + 1, tree)
-        assert image.vertex_count == tree.vertex_count
-
-    def test_words(self):
-        assert lift(lambda n: n + 1, word([1, 2])) == word([2, 3])
 
 
 class TestRotaBaxter:
@@ -238,7 +221,7 @@ class TestCarriersAgainstRationals:
         model = strict_sum_model(12) if strict else nonstrict_sum_model(12)
         for letters in small_words():
             expected = nested_sum(letters, 12, strict)
-            assert model.branch_word(word(letters)).values == expected, letters
+            assert model.branch_word(Word(letters)).values == expected, letters
 
     def test_integration_is_iterated_integral(self):
         # x^{S_1} / (S_1 S_2 ... S_k) with S_j = sum_{i >= j} (n_i + 1)
@@ -247,12 +230,12 @@ class TestCarriersAgainstRationals:
             tails = [sum(n + 1 for n in letters[j:]) for j in range(len(letters))]
             degree = tails[0] if tails else 0
             expected = (0,) * degree + (Fraction(1, prod(tails)),)
-            assert model.branch_word(word(letters)).coeffs == expected, letters
+            assert model.branch_word(Word(letters)).coeffs == expected, letters
 
     @pytest.mark.parametrize("model", [strict_sum_model(12), integration_model()], ids=lambda m: m.name)
     def test_equality_ignores_representation(self, model):
-        u = model.branch_word(word([2, 1])) * Fraction(1, 2)
-        v = model.branch_word(word([2])) * Fraction(1, 6)
+        u = model.branch_word(Word([2, 1])) * Fraction(1, 2)
+        v = model.branch_word(Word([2])) * Fraction(1, 6)
         assert u.den != v.den
         assert (u * Fraction(1, 3)) * 3 == u
         assert hash((u * Fraction(1, 3)) * 3) == hash(u)

@@ -18,16 +18,16 @@ _SURFACE = {
     "forest_algebra": [
         "ConvergenceClass", "associator", "binarise_comb", "binarise_forest", "binarise_tree",
         "convergence_class", "debinarise_forest", "debinarise_tree", "flatten", "flatten_forest",
-        "is_convergent_forest", "shuffle_forests", "shuffle_forests_basis",
+        "shuffle_forests", "shuffle_forests_basis",
     ],
     "lincomb": ["LinComb"],
     "trees": [
         "Alphabet", "EMPTY_FOREST", "Forest", "Tree", "b_plus", "concat_forests", "ladder",
-        "ladder_decorations", "leaf", "tree_forest",
+        "leaf", "tree_forest",
     ],
     "words": [
         "EMPTY_WORD", "Word", "binarise", "concat_words", "debinarise", "is_convergent_word",
-        "is_semiconvergent_word", "shuffle_words", "shuffle_words_basis", "word",
+        "is_semiconvergent_word", "shuffle_words", "shuffle_words_basis",
     ],
     "zeta": [
         "MzvCombination", "MzvEval", "azv", "eval_arborified_polylog", "eval_combination",
@@ -38,9 +38,9 @@ _NAMES = [(module, name) for module, names in _SURFACE.items() for name in names
 
 
 def test_all_lists_the_api_and_its_submodules():
-    assert len(_NAMES) == 55
+    assert len(_NAMES) == 52
     assert arbozeta.__all__ == sorted([*_SURFACE, *(name for _, name in _NAMES)])
-    assert len(arbozeta.__all__) == 61
+    assert len(arbozeta.__all__) == 58
 
 
 @pytest.mark.parametrize("module,name", _NAMES, ids=[name for _, name in _NAMES])

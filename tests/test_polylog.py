@@ -8,7 +8,7 @@ from arbozeta.errors import DomainError, NotSemiconvergent, PrecisionUnreachable
 from arbozeta.forest_algebra import convergence_class
 from arbozeta.suites import brute_polylog_forest
 from arbozeta.trees import Alphabet, Forest, b_plus, ladder, leaf, tree_forest
-from arbozeta.zeta import eval_arborified_polylog, eval_mzv, eval_polylog
+from arbozeta.zeta import MzvCombination, eval_arborified_polylog, eval_combination, eval_mzv, eval_polylog
 
 
 @pytest.fixture
@@ -54,9 +54,25 @@ class TestPolylog:
             eval_polylog((1,) * 256, 0.99)
 
     def test_holder_factors_are_planned_before_the_kernel(self, no_kernel):
-        """zeta(5) fits in 64 terms, but its Hölder dual (2, 1, 1, 1) needs 128."""
-        with pytest.raises(PrecisionUnreachable, match=r"^polylog \(2, 1, 1, 1\) at z=0.5 needs a horizon beyond 64$"):
+        """zeta(5) fits in 64 terms, but its Hölder dual (2, 1, 1, 1) needs 128.
+
+        In a combination, and among the merges (2, 3) and (5) of zeta*(2, 3),
+        it is refused before the kernels of the values that fit have run.
+        """
+        zeta.clear_mzv_cache()
+        message = r"^polylog \(2, 1, 1, 1\) at z=0.5 needs a horizon beyond 64$"
+        with pytest.raises(PrecisionUnreachable, match=message):
             eval_mzv((5,), max_n=64)
+        with pytest.raises(PrecisionUnreachable, match=message):
+            eval_combination(MzvCombination({(2,): 1, (3,): 1, (5,): 1}), 1e-8, 64)
+        with pytest.raises(PrecisionUnreachable, match=message):
+            eval_mzv((2, 3), "star", 1e-8, 64)
+
+    def test_cached_values_are_not_planned(self, monkeypatch):
+        ev = eval_mzv((2, 3), "star", 1e-8)
+        for name in ("_horizon", "star_to_strict", "_fixed_polylogs"):
+            monkeypatch.setattr(zeta, name, None)
+        assert eval_mzv((2, 3), "star", 1e-8) == ev
 
     def test_partial_sum_value(self):
         ev = eval_polylog((2,), 0.5, 1e-10)

@@ -18,7 +18,7 @@ from arbozeta.suites import (
 )
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest
-from arbozeta.words import word
+from arbozeta.words import Word
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
 
@@ -220,10 +220,10 @@ def test_worst_gap_reports_the_worst_and_names_the_first_beyond_tolerance():
 
 
 def test_witness_text_of_words_forests_and_lambda():
-    pair = (word((1, 2)), word((2,)))
+    pair = (Word((1, 2)), Word((2,)))
     entry = _family("never", [pair], lambda _: False)
     assert entry["instance"] == "never [1 instances]; first failure: (1,2) | (2)"
-    case = (syntax.parse_forest("2[1]"), -1)
+    case = (syntax.parse_expression("2[1]"), -1)
     entry = _family("never", [case], lambda _: False, _with_lambda)
     assert entry["instance"] == "never [1 instances]; first failure: 2[1] lam=-1"
 

@@ -15,27 +15,27 @@ from arbozeta.errors import AlphabetMismatch, ParseError
 from arbozeta.forest_algebra import flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import MAX_STAR_PARTS, MAX_WEIGHT, Word, word
+from arbozeta.words import MAX_STAR_PARTS, MAX_WEIGHT, Word, clear_shuffle_cache
 from arbozeta.zeta import MzvCombination, MzvEval
 
 
 class TestGrammar:
     def test_nested_tree(self):
-        forest = syntax.parse_forest("2[1,3[2]]")
+        forest = syntax.parse_expression("2[1,3[2]]")
         expected = tree_forest(b_plus(2, tree_forest(leaf(1), b_plus(3, tree_forest(leaf(2))))))
         assert forest == expected
 
     def test_whitespace_forest(self):
-        assert syntax.parse_forest("2 2") == Forest((leaf(2), leaf(2)))
+        assert syntax.parse_expression("2 2") == Forest((leaf(2), leaf(2)))
 
     def test_empty_forest(self):
-        assert syntax.parse_forest("") == Forest()
-        assert syntax.parse_forest("   ") == Forest()
+        assert syntax.parse_expression("") == Forest()
+        assert syntax.parse_expression("   ") == Forest()
 
     def test_words(self):
-        assert syntax.parse_word("(2,1,3)") == word([2, 1, 3])
-        assert syntax.parse_word('"xyy"') == word("xyy")
-        assert syntax.parse_word("()") == Word()
+        assert syntax.parse_expression("(2,1,3)") == Word([2, 1, 3])
+        assert syntax.parse_expression('"xyy"') == Word("xyy")
+        assert syntax.parse_expression("()") == Word()
 
     def test_lincomb(self):
         comb = syntax.parse_lincomb("3/2*2[1] - 4")
@@ -51,7 +51,7 @@ class TestGrammar:
             tree_forest(b_plus(3, tree_forest(leaf(1)))): -1,
         }
         assert all(type(c) is int for _, c in comb.items())
-        summed = LinComb.zero()
+        summed = LinComb()
         for forest, coeff in comb.items():
             summed = summed + flatten_forest(forest, 1).scale(coeff)
         assert flatten(comb, 1) == summed
@@ -64,7 +64,7 @@ class TestGrammar:
         words = flatten(comb, 1)
         assert time.perf_counter() - start < 10.0
         assert len(comb) == len(words) == 20000
-        assert words.coefficient(word([20000])) == 1
+        assert words.coefficient(Word([20000])) == 1
 
     def test_mixing_bases_rejected(self):
         with pytest.raises(ParseError):
@@ -74,11 +74,11 @@ class TestGrammar:
         def nested(depth):
             return "2[" * depth + "1" + "]" * depth
 
-        assert syntax.parse_forest(nested(syntax.MAX_NESTING)).vertex_count == syntax.MAX_NESTING + 1
+        assert syntax.parse_expression(nested(syntax.MAX_NESTING)).vertex_count == syntax.MAX_NESTING + 1
         with pytest.raises(ParseError, match="nest deeper"):
-            syntax.parse_forest(nested(syntax.MAX_NESTING + 1))
+            syntax.parse_expression(nested(syntax.MAX_NESTING + 1))
         side_by_side = " ".join([nested(2)] * syntax.MAX_NESTING)
-        assert len(syntax.parse_forest(side_by_side).trees) == syntax.MAX_NESTING
+        assert len(syntax.parse_expression(side_by_side).trees) == syntax.MAX_NESTING
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError, match="zero denominator"):
@@ -86,11 +86,11 @@ class TestGrammar:
 
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
-            syntax.parse_forest("2[")
+            syntax.parse_expression("2[")
         with pytest.raises(ParseError):
-            syntax.parse_forest("z")
+            syntax.parse_expression("z")
         with pytest.raises(ParseError):
-            syntax.parse_forest("0")
+            syntax.parse_expression("0")
 
     def test_roundtrip_corpus(self):
         # parse(print(.)) is the identity on canonical forms
@@ -111,11 +111,11 @@ class TestGrammar:
         assert len(corpus) >= 200
         for forest in corpus:
             text = syntax.format_forest(forest)
-            assert syntax.parse_forest(text) == forest
+            assert syntax.parse_expression(text) == forest
         for comp in [(2,), (2, 1, 3), ()]:
-            w = word(comp)
-            assert syntax.parse_word(syntax.format_word(w)) == w
-        assert syntax.parse_word('"xyy"') == word("xyy")
+            w = Word(comp)
+            assert syntax.parse_expression(syntax.format_word(w)) == w
+        assert syntax.parse_expression('"xyy"') == Word("xyy")
 
     def test_lincomb_roundtrip(self):
         comb = (
@@ -133,11 +133,11 @@ class TestGrammar:
 # (text, value) of parse_expression, with the values of the last release of the
 # two-pass parser that tried a word before a combination.
 _EXPRESSIONS = [
-    ("(2,1)", word([2, 1])),
-    ('"xy"', word("xy")),
+    ("(2,1)", Word([2, 1])),
+    ('"xy"', Word("xy")),
     ("()", Word()),
     ('""', Word()),
-    ("  (2)  ", word([2])),
+    ("  (2)  ", Word([2])),
     ("2[1,3[2]] 2", Forest((leaf(2), b_plus(2, tree_forest(leaf(1), b_plus(3, tree_forest(leaf(2)))))))),
     ("x[y]", tree_forest(b_plus("x", tree_forest(leaf("y"))))),
     ("2,2", Forest((leaf(2), leaf(2)))),
@@ -145,10 +145,10 @@ _EXPRESSIONS = [
     ("   ", Forest()),
     ("1*2[1]", tree_forest(b_plus(2, tree_forest(leaf(1))))),
     ("2[1] - 3", LinComb([(tree_forest(b_plus(2, tree_forest(leaf(1)))), 1), (tree_forest(leaf(3)), -1)])),
-    ("1/2*(2) + (3)", LinComb([(word([2]), Fraction(1, 2)), (word([3]), 1)])),
+    ("1/2*(2) + (3)", LinComb([(Word([2]), Fraction(1, 2)), (Word([3]), 1)])),
     ("2 - 2", LinComb()),
     ("3*2", LinComb.of(tree_forest(leaf(2)), 3)),
-    ("-(2,1)", LinComb.of(word([2, 1]), -1)),
+    ("-(2,1)", LinComb.of(Word([2, 1]), -1)),
     ("-", LinComb.of(Forest(), -1)),
     ("2 +", LinComb([(tree_forest(leaf(2)), 1), (Forest(), 1)])),
 ]
@@ -609,6 +609,18 @@ class TestWeightBound:
         code, out, _ = run_cli("binarize-tree", _ladder(2, 100), *json_flag)
         assert code == 0 and out.count("x") == 100
 
+    def test_word_shuffles_at_the_bound(self):
+        ones = "(" + ",".join(["1"] * (MAX_WEIGHT - 1)) + ")"
+        try:
+            code, out, err = run_cli("shuffle-words", ones, "(2)", "--lambda", "1")
+        finally:
+            clear_shuffle_cache()
+        assert (code, err) == (0, "")
+        terms = out.rstrip("\n").split(" + ")
+        assert len(terms) == 2 * MAX_WEIGHT - 1 and terms[0] == ones[:-1] + ",2)" and terms[-1] == "(3," + ones[3:]
+        longer = "(" + ",".join(["1"] * 1000) + ")"
+        assert run_cli("shuffle-words", longer, "()", "--lambda", "1") == (0, longer + "\n", "")
+
     def test_unreachable_precision_at_the_bound(self):
         code, _, err = run_cli("eval", f"{MAX_WEIGHT}")
         assert code == 3 and "certified error" in err
@@ -618,7 +630,8 @@ class TestWeightBound:
 # 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran,
 # for a word and for the 100-vertex y-ladder, which flattens to the same word.
 # The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
-# past the float range, ended in an OverflowError.
+# past the float range, ended in an OverflowError, and the shuffle of 1,000
+# letters with one more in a RecursionError.
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
@@ -626,6 +639,7 @@ _REFUSED_BEFORE_THE_WORK = [
     (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99"], "certified error"),
     (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99"], "arborified polylog at z=0.99: certified error"),
     (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
+    (["shuffle-words", "(" + ",".join(["1"] * 1000) + ")", "(2)"], "shuffle of words of 1001 letters is above the length bound 256"),
 ]
 
 

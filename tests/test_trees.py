@@ -15,7 +15,6 @@ from arbozeta.trees import (
     b_plus,
     concat_forests,
     ladder,
-    ladder_decorations,
     leaf,
     tree_forest,
 )
@@ -101,7 +100,7 @@ class TestGrafting:
     def test_single_tree_gives_ladder(self):
         tree = b_plus(1, tree_forest(leaf(2)))
         assert tree.vertex_count == 2
-        assert ladder_decorations(tree_forest(tree)) == [1, 2]
+        assert tree_forest(tree) == ladder([1, 2])
 
     def test_two_trees_give_corolla(self):
         tree = b_plus(1, tree_forest(leaf(2), leaf(3)))
@@ -126,7 +125,7 @@ class TestConcat:
     def test_multiset_union(self):
         out = concat_forests(Forest((leaf(2), leaf(2))), tree_forest(leaf(4)))
         assert out.vertex_count == 3
-        assert out.decoration_count(2) == 2
+        assert list(out.vertices()).count(2) == 2
 
     def test_exhaustive_monoid_laws_small(self):
         from arbozeta.catalog import forests_up_to
@@ -146,7 +145,8 @@ class TestConcat:
         both = concat_forests(fa, fb)
         assert both.vertex_count == fa.vertex_count + fb.vertex_count
         assert both.weight() == fa.weight() + fb.weight()
-        assert both.decoration_count(1) == fa.decoration_count(1) + fb.decoration_count(1)
+        ones = lambda f: list(f.vertices()).count(1)
+        assert ones(both) == ones(fa) + ones(fb)
 
 
 class TestGradings:
@@ -154,7 +154,7 @@ class TestGradings:
         forest = tree_forest(b_plus(2, tree_forest(leaf(1), leaf(1))))
         assert forest.vertex_count == 3
         assert forest.weight() == 4
-        assert forest.decoration_count(1) == 2
+        assert list(forest.vertices()).count(1) == 2
 
     def test_empty(self):
         assert EMPTY_FOREST.vertex_count == 0
@@ -209,7 +209,7 @@ class TestLinComb:
 class TestLadders:
     def test_roundtrip(self):
         forest = ladder([2, 1, 3])
-        assert ladder_decorations(forest) == [2, 1, 3]
+        assert list(forest.vertices()) == [2, 1, 3]
         assert forest.trees[0].is_ladder()
 
     def test_branching_detection(self):

@@ -23,7 +23,6 @@ from arbozeta.words import (
     is_semiconvergent_word,
     shuffle_words,
     shuffle_words_basis,
-    word,
 )
 
 compositions = st.lists(st.integers(1, 4), max_size=5).map(tuple)
@@ -46,7 +45,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("letters", [(), (2, 1, 3), ("x", "y", "y")])
     def test_unchecked_word_is_the_same_key(self, letters):
-        checked, unchecked = word(letters), Word._unchecked(letters)
+        checked, unchecked = Word(letters), Word._unchecked(letters)
         assert checked == unchecked
         assert hash(checked) == hash(unchecked) == hash(letters)
         assert checked.sort_key == unchecked.sort_key and checked.alphabet == unchecked.alphabet
@@ -65,95 +64,106 @@ def lambda_shuffle_size(m: int, n: int, lam) -> Fraction:
 
 class TestConcat:
     def test_unit(self):
-        w = word([2, 1])
+        w = Word([2, 1])
         assert concat_words(EMPTY_WORD, w) == w
         assert concat_words(w, EMPTY_WORD) == w
 
     def test_sequences(self):
-        assert concat_words(word([2]), word([1, 3])) == word([2, 1, 3])
-        assert concat_words(word("x"), word("yy")) == word("xyy")
+        assert concat_words(Word([2]), Word([1, 3])) == Word([2, 1, 3])
+        assert concat_words(Word("x"), Word("yy")) == Word("xyy")
 
 
 class TestShuffles:
     def test_stuffle_of_two_letters(self):
-        out = shuffle_words_basis(word([2]), word([3]), 1)
-        assert out == LinComb({word([2, 3]): 1, word([3, 2]): 1, word([5]): 1})
+        out = shuffle_words_basis(Word([2]), Word([3]), 1)
+        assert out == LinComb({Word([2, 3]): 1, Word([3, 2]): 1, Word([5]): 1})
 
     def test_unit(self):
-        w = word([2, 1])
+        w = Word([2, 1])
         for lam in (-1, 0, 1):
             assert shuffle_words_basis(w, EMPTY_WORD, lam) == LinComb.of(w)
 
     def test_plain_shuffle_on_letters(self):
-        out = shuffle_words_basis(word("x"), word("y"), 0)
-        assert out == LinComb({word("xy"): 1, word("yx"): 1})
+        out = shuffle_words_basis(Word("x"), Word("y"), 0)
+        assert out == LinComb({Word("xy"): 1, Word("yx"): 1})
 
     def test_contraction_needs_semigroup(self):
         with pytest.raises(SemigroupRequired):
-            shuffle_words_basis(word("x"), word("y"), 1)
+            shuffle_words_basis(Word("x"), Word("y"), 1)
 
     def test_anti_stuffle_sign(self):
-        out = shuffle_words_basis(word([2]), word([3]), -1)
-        assert out.coefficient(word([5])) == -1
+        out = shuffle_words_basis(Word([2]), Word([3]), -1)
+        assert out.coefficient(Word([5])) == -1
 
     def test_rational_lambda(self):
-        out = shuffle_words_basis(word([2]), word([3]), Fraction(1, 2))
-        assert out.coefficient(word([5])) == Fraction(1, 2)
+        out = shuffle_words_basis(Word([2]), Word([3]), Fraction(1, 2))
+        assert out.coefficient(Word([5])) == Fraction(1, 2)
 
     @given(compositions, compositions)
     def test_commutative(self, a, b):
         for lam in (-1, 0, 1):
-            assert shuffle_words_basis(word(a), word(b), lam) == shuffle_words_basis(
-                word(b), word(a), lam
+            assert shuffle_words_basis(Word(a), Word(b), lam) == shuffle_words_basis(
+                Word(b), Word(a), lam
             )
 
     @given(compositions, compositions)
     def test_shuffle_counts(self, a, b):
-        out = shuffle_words_basis(word(a), word(b), 0)
+        out = shuffle_words_basis(Word(a), Word(b), 0)
         assert out.coefficient_sum() == math.comb(len(a) + len(b), len(a))
         assert all(len(t) == len(a) + len(b) for t in out)
 
     @pytest.mark.parametrize("lam", [0, -1, 1, 2, Fraction(1, 2)])
     @given(a=compositions, b=compositions)
     def test_lambda_shuffle_counts(self, lam, a, b):
-        out = shuffle_words_basis(word(a), word(b), lam)
+        out = shuffle_words_basis(Word(a), Word(b), lam)
         assert out.coefficient_sum() == lambda_shuffle_size(len(a), len(b), lam)
 
     @given(compositions, compositions)
     def test_weight_conserved(self, a, b):
         for lam in (-1, 1):
-            out = shuffle_words_basis(word(a), word(b), lam)
+            out = shuffle_words_basis(Word(a), Word(b), lam)
             assert all(t.weight() == sum(a) + sum(b) for t in out)
 
+    def test_length_bound(self):
+        """Two non-empty words of more than MAX_WEIGHT letters in all are refused after the alphabet checks."""
+        long = Word([1] * MAX_WEIGHT)
+        with pytest.raises(DomainError, match="^shuffle of words of 257 letters is above the length bound 256$"):
+            shuffle_words_basis(long, Word([2]), 1)
+        with pytest.raises(AlphabetMismatch):
+            shuffle_words_basis(long, Word("x"), 0)
+        with pytest.raises(SemigroupRequired):
+            shuffle_words_basis(Word("x" * MAX_WEIGHT), Word("y"), 1)
+        assert shuffle_words_basis(long, EMPTY_WORD, 1) == LinComb.of(long)
+
     def test_bilinear_extension(self):
-        a = LinComb.of(word([2]), 2)
-        b = LinComb.of(word([3]), Fraction(1, 2))
+        a = LinComb.of(Word([2]), 2)
+        b = LinComb.of(Word([3]), Fraction(1, 2))
         out = shuffle_words(a, b, 0)
-        assert out.coefficient(word([2, 3])) == 1
+        assert out.coefficient(Word([2, 3])) == 1
 
 
 class TestConvergence:
     def test_posint(self):
-        assert is_convergent_word(word([2, 1, 1]))
-        assert not is_convergent_word(word([1, 2]))
+        assert is_convergent_word(Word([2, 1, 1]))
+        assert not is_convergent_word(Word([1, 2]))
         assert is_convergent_word(EMPTY_WORD)
 
     def test_binary(self):
-        assert is_convergent_word(word("xyy"))
-        assert not is_convergent_word(word("yxy"))
-        assert is_semiconvergent_word(word("yxy"))
-        assert not is_semiconvergent_word(word("xyx"))
+        assert is_convergent_word(Word("xyy"))
+        assert not is_convergent_word(Word("yxy"))
+        assert is_semiconvergent_word(Word("yxy"))
+        assert not is_semiconvergent_word(Word("xyx"))
 
     def test_generic_alphabet_rejected(self):
         with pytest.raises(UnsupportedAlphabet):
-            is_convergent_word(word(["a"]))
+            is_convergent_word(Word(["a"]))
 
 
 class TestBinarisation:
     def test_examples(self):
-        assert binarise(word([2, 1])) == word("xyy")
+        assert binarise(Word([2, 1])) == Word("xyy")
         assert binarise(EMPTY_WORD) == EMPTY_WORD
-        assert binarise(word([3, 2])) == word("xxyxy")
+        assert binarise(Word([3, 2])) == Word("xxyxy")
 
     def test_weight_bounded(self):
         assert len(binarise((MAX_WEIGHT,))) == MAX_WEIGHT
@@ -161,27 +171,27 @@ class TestBinarisation:
             binarise((100, 100, 57))
 
     def test_debinarise_examples(self):
-        assert debinarise(word("xyy")) == word([2, 1])
-        assert debinarise(word("yxy")) == word([1, 2])
+        assert debinarise(Word("xyy")) == Word([2, 1])
+        assert debinarise(Word("yxy")) == Word([1, 2])
         assert debinarise(EMPTY_WORD) == EMPTY_WORD
 
     def test_rejects_non_semiconvergent(self):
         with pytest.raises(NotSemiconvergent):
-            debinarise(word("xyx"))
+            debinarise(Word("xyx"))
 
     @given(compositions)
     def test_roundtrip(self, comp):
-        assert debinarise(binarise(word(comp))) == word(comp)
+        assert debinarise(binarise(Word(comp))) == Word(comp)
 
     @given(compositions)
     def test_grading_and_convergence(self, comp):
-        image = binarise(word(comp))
+        image = binarise(Word(comp))
         assert len(image) == sum(comp)
         assert is_semiconvergent_word(image)
-        assert is_convergent_word(image) == is_convergent_word(word(comp))
+        assert is_convergent_word(image) == is_convergent_word(Word(comp))
 
     @given(compositions, compositions)
     def test_concat_morphism(self, a, b):
-        assert binarise(concat_words(word(a), word(b))) == concat_words(
-            binarise(word(a)), binarise(word(b))
+        assert binarise(concat_words(Word(a), Word(b))) == concat_words(
+            binarise(Word(a)), binarise(Word(b))
         )
