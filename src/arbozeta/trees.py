@@ -3,13 +3,14 @@
 Decorations are plain values: a positive ``int`` (alphabet of positive
 integers), the strings ``'x'`` / ``'y'`` (binary alphabet), or any other
 string (generic test alphabets).  A forest stores its trees sorted under a
-fixed total order, so forest concatenation is commutative by construction and
-equality is structural equality.
+fixed total order, so forest concatenation is commutative by construction.
 
 ``Tree`` and ``Forest`` are immutable ``__slots__`` values with no instance
-dict: assigning or deleting a field raises ``AttributeError``.  Construction
-computes every key once, from the children's keys: the sort key, the
-alphabet, the vertex count and the hash.
+dict: assigning or deleting a field raises ``AttributeError``.  They are
+hash-consed: the private constructors look each value up in an intern table
+and build it only on a miss, so structurally equal values are one object,
+compared and hashed by identity.  A new value computes its keys once, from
+the children's keys: the sort key, the alphabet and the vertex count.
 
 The public constructors check decorations and alphabets, sort, then call
 the private ``_unchecked`` constructors.  Code whose input is already
@@ -89,6 +90,15 @@ class _Value:
 
 _set = object.__setattr__
 
+# The intern tables: ``_unchecked`` returns the one object stored for a value,
+# so equal trees (forests) are identical and ``object``'s identity equality
+# and hash are structural.  The keys are tuples of decorations and interned
+# trees, hashed and compared in C, so each ``setdefault`` is atomic.  They
+# live as long as the process and are never cleared: a cleared table would
+# let two equal values live on as different objects.
+_TREES: dict = {}
+_FORESTS: dict = {}
+
 
 class _Record(_Value):
     """Immutable value compared, hashed, shown and pickled by the fields in ``_FIELDS``.
@@ -125,7 +135,7 @@ class _Record(_Value):
 class Tree(_Value):
     """Decorated rooted tree; children form a multiset, stored sorted."""
 
-    __slots__ = ("decoration", "children", "sort_key", "alphabet", "vertex_count", "_hash")
+    __slots__ = ("decoration", "children", "sort_key", "alphabet", "vertex_count")
 
     def __new__(cls, decoration: Decoration, children: Iterable["Tree"] = ()) -> "Tree":
         children = tuple(children)
@@ -141,22 +151,17 @@ class Tree(_Value):
         validated positive-integer decorations), and ``children`` is in
         canonical order (see :func:`_canonical`).
         """
-        tree = object.__new__(cls)
-        _set(tree, "decoration", decoration)
-        _set(tree, "children", children)
-        _set(tree, "sort_key", (decoration_key(decoration), tuple(map(_sort_key, children))))
-        _set(tree, "alphabet", children[0].alphabet if children else alphabet_of(decoration))
-        _set(tree, "vertex_count", 1 + sum(map(_vertex_count, children)))
-        _set(tree, "_hash", hash((decoration, children)))
+        key = (decoration, children)
+        tree = _TREES.get(key)
+        if tree is None:
+            tree = object.__new__(cls)
+            _set(tree, "decoration", decoration)
+            _set(tree, "children", children)
+            _set(tree, "sort_key", (decoration_key(decoration), tuple(map(_sort_key, children))))
+            _set(tree, "alphabet", children[0].alphabet if children else alphabet_of(decoration))
+            _set(tree, "vertex_count", 1 + sum(map(_vertex_count, children)))
+            tree = _TREES.setdefault(key, tree)
         return tree
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.decoration == other.decoration and self.children == other.children
 
     def __reduce__(self):
         return Tree, (self.decoration, self.children)
@@ -190,7 +195,7 @@ class Tree(_Value):
 class Forest(_Value):
     """Finite multiset of decorated rooted trees; the empty forest is the unit."""
 
-    __slots__ = ("trees", "sort_key", "alphabet", "vertex_count", "_hash")
+    __slots__ = ("trees", "sort_key", "alphabet", "vertex_count")
 
     def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
         trees = tuple(trees)
@@ -204,21 +209,15 @@ class Forest(_Value):
         Precondition: ``trees`` are validated trees of one alphabet, in
         canonical order (see :func:`_canonical`).
         """
-        forest = object.__new__(cls)
-        _set(forest, "trees", trees)
-        _set(forest, "sort_key", tuple(map(_sort_key, trees)))
-        _set(forest, "alphabet", trees[0].alphabet if trees else None)
-        _set(forest, "vertex_count", sum(map(_vertex_count, trees)))
-        _set(forest, "_hash", hash(trees))
+        forest = _FORESTS.get(trees)
+        if forest is None:
+            forest = object.__new__(cls)
+            _set(forest, "trees", trees)
+            _set(forest, "sort_key", tuple(map(_sort_key, trees)))
+            _set(forest, "alphabet", trees[0].alphabet if trees else None)
+            _set(forest, "vertex_count", sum(map(_vertex_count, trees)))
+            forest = _FORESTS.setdefault(trees, forest)
         return forest
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self.trees == other.trees
 
     def __reduce__(self):
         return Forest, (self.trees,)

@@ -15,7 +15,7 @@ from arbozeta.errors import AlphabetMismatch, ParseError
 from arbozeta.forest_algebra import flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import MAX_STAR_PARTS, MAX_WEIGHT, Word, clear_shuffle_cache
+from arbozeta.words import MAX_SHUFFLE_TERMS, MAX_STAR_PARTS, MAX_WEIGHT, Word, clear_shuffle_cache
 from arbozeta.zeta import MzvCombination, MzvEval
 
 
@@ -631,7 +631,8 @@ class TestWeightBound:
 # for a word and for the 100-vertex y-ladder, which flattens to the same word.
 # The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
 # past the float range, ended in an OverflowError, and the shuffle of 1,000
-# letters with one more in a RecursionError.
+# letters with one more in a RecursionError.  The stuffle of 1^128 with itself
+# ran out of memory, and that of (1..12) with (13..24) ran for over a minute.
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
@@ -640,6 +641,14 @@ _REFUSED_BEFORE_THE_WORK = [
     (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99"], "arborified polylog at z=0.99: certified error"),
     (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
     (["shuffle-words", "(" + ",".join(["1"] * 1000) + ")", "(2)"], "shuffle of words of 1001 letters is above the length bound 256"),
+    (
+        ["shuffle-words", "(" + ",".join(["1"] * 128) + ")", "(" + ",".join(["1"] * 128) + ")", "--lambda", "1"],
+        f"shuffle of words of 128 and 128 letters has 4.95e+96 terms, above the term bound {MAX_SHUFFLE_TERMS}",
+    ),
+    (
+        ["shuffle-words", "(" + ",".join(map(str, range(1, 13))) + ")", "(" + ",".join(map(str, range(13, 25))) + ")", "--lambda", "1"],
+        "shuffle of words of 12 and 12 letters has 2.52e+08 terms",
+    ),
 ]
 
 

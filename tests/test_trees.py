@@ -1,4 +1,6 @@
 import copy
+import multiprocessing
+import os
 import pickle
 import pytest
 from fractions import Fraction
@@ -18,8 +20,17 @@ from arbozeta.trees import (
     leaf,
     tree_forest,
 )
-from arbozeta.forest_algebra import binarise_forest, debinarise_forest
-from arbozeta.words import Word
+from arbozeta.catalog import forests_with_vertices, trees_with_weight
+from arbozeta.forest_algebra import (
+    binarise_forest,
+    clear_forest_caches,
+    debinarise_forest,
+    flatten_forest,
+    shuffle_forests_basis,
+)
+from arbozeta.syntax import parse_expression
+from arbozeta.words import Word, clear_shuffle_cache, shuffle_words_basis
+from arbozeta.zeta import clear_mzv_cache
 
 
 def raw_trees(decorations=(1, 2, 3), max_depth=3):
@@ -250,18 +261,18 @@ class TestValueContract:
         tree = Tree(2, (leaf(3), Tree(1, (leaf(1),))))
         assert tree.children == (Tree(1, (leaf(1),)), leaf(3))
         assert tree.sort_key == ((0, 2, ""), (((0, 1, ""), (((0, 1, ""), ()),)), ((0, 3, ""), ())))
-        assert (tree.alphabet, tree.vertex_count, hash(tree)) == (Alphabet.POSINT, 4, hash((2, tree.children)))
+        assert (tree.alphabet, tree.vertex_count) == (Alphabet.POSINT, 4) and tree is Tree._unchecked(2, tree.children)
         forest = Forest((leaf("y"), leaf("x")))
         assert forest.sort_key == (((1, 0, ""), ()), ((1, 1, ""), ()))
-        assert (forest.alphabet, forest.vertex_count, hash(forest)) == (Alphabet.XY, 2, hash(forest.trees))
+        assert (forest.alphabet, forest.vertex_count) == (Alphabet.XY, 2) and forest is Forest._unchecked(forest.trees)
         assert (EMPTY_FOREST.sort_key, EMPTY_FOREST.alphabet, EMPTY_FOREST.vertex_count) == ((), None, 0)
 
     @pytest.mark.parametrize(
         "value, fields",
         [
-            (Tree(2, (leaf(1),)), ("decoration", "children", "sort_key", "alphabet", "vertex_count", "_hash")),
-            (Forest((leaf(2), leaf(1))), ("trees", "sort_key", "alphabet", "vertex_count", "_hash")),
-            (Word((2, 1)), ("letters", "_hash", "sort_key", "alphabet")),
+            (Tree(2, (leaf(1),)), ("decoration", "children", "sort_key", "alphabet", "vertex_count")),
+            (Forest((leaf(2), leaf(1))), ("trees", "sort_key", "alphabet", "vertex_count")),
+            (Word((2, 1)), ("letters", "sort_key", "alphabet")),
         ],
     )
     def test_values_are_immutable_and_have_no_instance_dict(self, value, fields):
@@ -272,4 +283,65 @@ class TestValueContract:
             with pytest.raises(AttributeError):
                 delattr(value, name)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-            assert twin == value and hash(twin) == hash(value)
+            assert twin is value
+
+
+def _values_in_worker(_):
+    """A tree, a forest and a word built in a worker process, to be pickled back."""
+    return Tree(2, (leaf(1), leaf(3))), ladder((3, 1, 2)), Word((2, 1))
+
+
+class TestHashConsing:
+    """Equal values are one object, whichever route built them."""
+
+    def test_parse_gives_the_constructed_value(self):
+        tree = Tree(2, (leaf(1), Tree(3, (leaf(1),))))
+        assert parse_expression("2[3[1],1]") is tree_forest(tree)
+        assert parse_expression("2[3[1],1] 1").trees[1] is tree
+        assert parse_expression("(2,1)") is Word((2, 1))
+
+    def test_grafting_and_ladders(self):
+        forest = Forest((leaf(1), leaf(2)))
+        assert b_plus(3, forest) is Tree(3, (leaf(2), leaf(1))) is Tree._unchecked(3, forest.trees)
+        assert ladder((2, 1)) is tree_forest(b_plus(2, tree_forest(leaf(1)))) is Forest([Tree(2, [Tree(1)])])
+
+    def test_catalog(self):
+        for forest in forests_with_vertices(4, (1, 2)):
+            assert Forest(rebuild(t) for t in forest.trees) is forest
+        for tree in trees_with_weight(5):
+            assert rebuild(tree) is tree
+
+    def test_tree_shuffle_contraction(self):
+        # The recursion builds the contracted root 2 + 1 itself.
+        terms = list(shuffle_forests_basis(ladder((2,)), ladder((1,)), 1))
+        [contracted] = [f for f in terms if f.vertex_count == 1]
+        assert contracted is ladder((3,))
+        assert set(terms) == {contracted, ladder((2, 1)), ladder((1, 2))}
+
+    def test_binarisation_round_trip(self):
+        forest = Forest((Tree(2, (leaf(1), leaf(3))), leaf(2)))
+        binary = binarise_forest(forest)
+        assert binarise_forest(rebuild(forest)) is binary
+        assert debinarise_forest(binary) is forest
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_value_from_a_forked_worker(self):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            [returned] = pool.map(_values_in_worker, [0])
+        for got, built in zip(returned, _values_in_worker(0)):
+            assert got is built
+
+    @pytest.mark.parametrize("clear", [clear_shuffle_cache, clear_forest_caches, clear_mzv_cache])
+    def test_rebuilt_after_each_cache_clear(self, clear):
+        def build():
+            forest = Forest((Tree(2, (leaf(1),)), leaf(3)))
+            return [
+                *shuffle_words_basis(Word((2, 1)), Word((3,)), 1),
+                *shuffle_forests_basis(forest, ladder((2, 1)), 1),
+                *flatten_forest(forest, 1),
+            ]
+
+        before = build()
+        clear()
+        after = build()
+        assert len(before) == len(after) and all(old is new for old, new in zip(before, after))

@@ -14,8 +14,10 @@ from arbozeta.errors import (
 from arbozeta.lincomb import LinComb
 from arbozeta.words import (
     EMPTY_WORD,
+    MAX_SHUFFLE_TERMS,
     MAX_WEIGHT,
     Word,
+    _shuffle_terms,
     binarise,
     concat_words,
     debinarise,
@@ -46,11 +48,8 @@ class TestValidation:
     @pytest.mark.parametrize("letters", [(), (2, 1, 3), ("x", "y", "y")])
     def test_unchecked_word_is_the_same_key(self, letters):
         checked, unchecked = Word(letters), Word._unchecked(letters)
-        assert checked == unchecked
-        assert hash(checked) == hash(unchecked) == hash(letters)
-        assert checked.sort_key == unchecked.sort_key and checked.alphabet == unchecked.alphabet
-        assert {checked: 1}[unchecked] == 1
-        assert {unchecked: 2}[checked] == 2
+        # Equal words are one object, so a dict keyed by one finds the other.
+        assert checked is unchecked is Word(list(letters))
 
 
 def lambda_shuffle_size(m: int, n: int, lam) -> Fraction:
@@ -134,6 +133,21 @@ class TestShuffles:
         with pytest.raises(SemigroupRequired):
             shuffle_words_basis(Word("x" * MAX_WEIGHT), Word("y"), 1)
         assert shuffle_words_basis(long, EMPTY_WORD, 1) == LinComb.of(long)
+
+    def test_term_bound(self):
+        """A product of more than MAX_SHUFFLE_TERMS terms, counted with multiplicity, is refused before its recursion."""
+        for m, n in [(0, 5), (3, 4), (6, 6), (12, 12)]:
+            assert _shuffle_terms(m, n, True) == lambda_shuffle_size(m, n, 1)
+            assert _shuffle_terms(m, n, False) == math.comb(m + n, m)
+        # At lambda = 0 the ones shuffle into one word whose coefficient is the count.
+        nine, ten = Word([1] * 9), Word([1] * 10)
+        assert shuffle_words_basis(nine, nine, 0) == LinComb.of(Word([1] * 18), math.comb(18, 9))
+        with pytest.raises(DomainError, match=f"^shuffle of words of 10 and 10 letters has 1.85e\\+05 terms, above the term bound {MAX_SHUFFLE_TERMS}$"):
+            shuffle_words_basis(ten, ten, 0)
+        with pytest.raises(DomainError, match="^shuffle of words of 9 and 9 letters has 1.46e\\+06 terms"):
+            shuffle_words_basis(nine, nine, 1)
+        with pytest.raises(SemigroupRequired):
+            shuffle_words_basis(Word("x" * 128), Word("y" * 128), 1)
 
     def test_bilinear_extension(self):
         a = LinComb.of(Word([2]), 2)
