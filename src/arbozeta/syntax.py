@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .lincomb import LinComb
-from .trees import Forest, Tree
+from .trees import Alphabet, Forest, Tree
 from .words import Word
 
 if TYPE_CHECKING:
@@ -157,7 +157,7 @@ class _Parser:
 
     # linear combinations ----------------------------------------------------
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         kind, value = self.next()
         if kind != "num":
             raise ParseError(f"expected a number, got {value!r}")
@@ -170,10 +170,10 @@ class _Parser:
             if int(value) == 0:
                 raise ParseError(f"zero denominator in {numerator}/{value}")
             return Fraction(numerator, int(value))
-        return Fraction(numerator)
+        return numerator
 
     def parse_term(self):
-        coeff = Fraction(1)
+        coeff = 1
         save = self.pos
         kind, _ = self.peek()
         if kind == "num":
@@ -239,18 +239,18 @@ def parse_expression(text: str):
 def format_tree(tree: Tree) -> str:
     if not tree.children:
         return str(tree.decoration)
-    inner = ",".join(format_tree(c) for c in tree.children)
+    inner = ",".join(map(format_tree, tree.children))
     return f"{tree.decoration}[{inner}]"
 
 
 def format_forest(forest: Forest) -> str:
-    return " ".join(format_tree(t) for t in forest.trees)
+    return " ".join(map(format_tree, forest.trees))
 
 
 def format_word(w: Word) -> str:
-    if w and all(l in ("x", "y") for l in w.letters):
+    if w.alphabet is Alphabet.XY:
         return '"' + "".join(w.letters) + '"'
-    return "(" + ",".join(str(l) for l in w.letters) + ")"
+    return "(" + ",".join(map(str, w.letters)) + ")"
 
 
 def format_basis(basis) -> str:

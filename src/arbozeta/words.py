@@ -12,9 +12,8 @@ through ``Word._unchecked``, never re-validating a term.
 
 ``Word`` is an immutable, hash-consed ``__slots__`` value like ``Tree`` and
 ``Forest``: ``Word._unchecked`` returns the one word interned for its letter
-tuple, so equal words are one object, compared and hashed by identity.  Its
-sort key and alphabet are computed on each access, since most words are
-never sorted.
+tuple, so equal words are one object, compared and hashed by identity.  A
+new word computes its alphabet and sort key once, when it is interned.
 """
 from __future__ import annotations
 
@@ -24,16 +23,20 @@ from typing import Iterable
 
 from .errors import DomainError, NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
 from .lincomb import Coeff, LinComb, _as_comb, _norm
-from .trees import Alphabet, Decoration, _set, _Value, alphabet_of, decoration_key, merge_alphabets
+from .trees import Alphabet, Decoration, _set, _Value, alphabet_of, merge_alphabets
 
 # The intern table of words, keyed by letter tuple; never cleared (see trees.py).
 _WORDS: dict = {}
+# Sort keys in the order of the letters' ``decoration_key`` tuples.  A word
+# never mixes alphabets, so a positive-integer word's key is its letters (the
+# empty word's () first); {x,y}, then generic, keys lead with infinity.
+_KEY_HEAD = {Alphabet.XY: (math.inf, 0), Alphabet.GENERIC: (math.inf, 1)}
 
 
 class Word(_Value):
     """Finite letter sequence; the empty word is the unit of concatenation."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "sort_key", "alphabet")
 
     def __new__(cls, letters: Iterable[Decoration] = ()) -> "Word":
         letters = tuple(letters)
@@ -50,20 +53,16 @@ class Word(_Value):
         w = _WORDS.get(letters)
         if w is None:
             w = object.__new__(cls)
+            alphabet = alphabet_of(letters[0]) if letters else None
+            head = _KEY_HEAD.get(alphabet)
             _set(w, "letters", letters)
+            _set(w, "sort_key", letters if head is None else head + (letters,))
+            _set(w, "alphabet", alphabet)
             w = _WORDS.setdefault(letters, w)
         return w
 
     def __reduce__(self):
         return Word, (self.letters,)
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(decoration_key(l) for l in self.letters)
-
-    @property
-    def alphabet(self) -> Alphabet | None:
-        return alphabet_of(self.letters[0]) if self.letters else None
 
     def __len__(self) -> int:
         return len(self.letters)

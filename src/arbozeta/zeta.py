@@ -62,6 +62,7 @@ from .errors import (
     NonConvergent,
     NotSemiconvergent,
     PrecisionUnreachable,
+    UnsupportedAlphabet,
 )
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest, _Record, _set
@@ -430,16 +431,23 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     positive-integer forests; ``shuffle`` flattens a binary forest with weight
     0 and lands on compositions through debinarisation.  The input combination
     is canonicalized first, so divergent basis forests are admissible as long
-    as they cancel.
+    as they cancel.  A forest over another alphabet than its flavor's is
+    refused with ``UnsupportedAlphabet``.
     """
     from .forest_algebra import ConvergenceClass, convergence_class, flatten
 
     comb = _as_comb(comb)
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    required = ConvergenceClass.CONV_XY if flavor == "shuffle" else ConvergenceClass.CONV_POSINT
-    alphabet = Alphabet.XY if flavor == "shuffle" else Alphabet.POSINT
+    if flavor == "shuffle":
+        required, alphabet = ConvergenceClass.CONV_XY, Alphabet.XY
+        needs = "{x,y}; binarize-tree maps a positive-integer forest there"
+    else:
+        required, alphabet = ConvergenceClass.CONV_POSINT, Alphabet.POSINT
+        needs = "the positive integers; the shuffle flavor reduces forests over {x,y}"
     for forest in comb:
+        if forest.alphabet not in (None, alphabet):
+            raise UnsupportedAlphabet(f"the {flavor} flavor reduces forests over {needs}")
         if convergence_class(forest, alphabet) is not required:
             raise NonConvergent(f"forest {forest!r} is not convergent for {flavor}")
     lam, mzv_flavor = FLAVORS[flavor]

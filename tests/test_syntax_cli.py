@@ -42,6 +42,14 @@ class TestGrammar:
         assert comb.coefficient(tree_forest(b_plus(2, tree_forest(leaf(1))))) == 1.5
         assert comb.coefficient(tree_forest(leaf(4))) == -1
 
+    def test_integral_coefficients_stay_ints(self):
+        ints, half = syntax.parse_lincomb("2*(1) - (2)"), syntax.parse_lincomb("1/2*(1)")
+        assert dict(ints.items()) == {Word([1]): 2, Word([2]): -1}
+        assert all(type(c) is int for _, c in ints.items())
+        assert type(half.coefficient(Word([1]))) is Fraction
+        assert (syntax.format_lincomb(ints), syntax.format_lincomb(half)) == ("2*(1) - (2)", "1/2*(1)")
+        assert type(syntax._Parser("2").parse_rational()) is int
+
     def test_lincomb_repeats_and_cancellation(self):
         assert syntax.parse_lincomb("2 + 3 - 2") == LinComb.of(tree_forest(leaf(3)))
         comb = syntax.parse_lincomb("1/2*2 + 3 + 1/2*2 - 3[1]")
@@ -209,6 +217,16 @@ _RENDERED = [
         [{"coeff": "1", "basis": {"letters": ["x", "y"]}}, {"coeff": "-1/2", "basis": {"letters": ["y"]}}],
     ),
     (
+        syntax.parse_lincomb('"xy" + (3,1) + () + (1,2)'),
+        '() + (1,2) + (3,1) + "xy"',
+        [
+            {"coeff": "1", "basis": {"letters": []}},
+            {"coeff": "1", "basis": {"letters": [1, 2]}},
+            {"coeff": "1", "basis": {"letters": [3, 1]}},
+            {"coeff": "1", "basis": {"letters": ["x", "y"]}},
+        ],
+    ),
+    (
         MzvCombination({(2, 2): 2, (4,): 1}, "strict"),
         "2*z(2,2) + z(4)",
         {"flavor": "strict", "terms": [{"coeff": "2", "index": [2, 2]}, {"coeff": "1", "index": [4]}]},
@@ -328,6 +346,19 @@ class TestCli:
         code, out, _ = run_cli("reduce", "--flavor", "stuffle", "2 2")
         assert code == 0
         assert out.strip() == "2*z(2,2) + z(4)"
+
+    @pytest.mark.parametrize(
+        "flavor, expr, needs",
+        [
+            ("shuffle", "2 3", "{x,y}; binarize-tree maps a positive-integer forest there"),
+            ("stuffle", "x[y]", "the positive integers; the shuffle flavor reduces forests over {x,y}"),
+            ("star", "x[y] + 2", "the positive integers; the shuffle flavor reduces forests over {x,y}"),
+        ],
+    )
+    def test_reduce_names_the_alphabet_of_its_flavor(self, flavor, expr, needs):
+        code, out, err = run_cli("reduce", "--flavor", flavor, expr)
+        assert (code, out) == (3, "")
+        assert err == f"error: the {flavor} flavor reduces forests over {needs}\n"
 
     def test_eval_value(self):
         code, out, _ = run_cli("eval", "--flavor", "stuffle", "2 2", "--precision", "1e-8")

@@ -1,4 +1,5 @@
 import copy
+import math
 import multiprocessing
 import os
 import pickle
@@ -29,7 +30,15 @@ from arbozeta.forest_algebra import (
     shuffle_forests_basis,
 )
 from arbozeta.syntax import parse_expression
-from arbozeta.words import Word, clear_shuffle_cache, shuffle_words_basis
+from arbozeta.words import (
+    EMPTY_WORD,
+    Word,
+    binarise,
+    clear_shuffle_cache,
+    concat_words,
+    debinarise,
+    shuffle_words_basis,
+)
 from arbozeta.zeta import clear_mzv_cache
 
 
@@ -55,14 +64,17 @@ def build_unchecked(raw) -> Tree:
 
 def rebuild(value):
     """``value`` built again through the public constructors, from reversed children."""
+    if isinstance(value, Word):
+        return Word(list(value.letters))
     if isinstance(value, Tree):
         return Tree(value.decoration, [rebuild(c) for c in reversed(value.children)])
     return Forest([rebuild(t) for t in reversed(value.trees)])
 
 
 def keys(value) -> tuple:
-    """Everything a dict, a sort or a grading reads from a tree or forest."""
-    return value, hash(value), value.sort_key, value.alphabet, value.vertex_count
+    """Everything a dict, a sort or a grading reads from a tree, forest or word."""
+    size = len(value) if isinstance(value, Word) else value.vertex_count
+    return value, hash(value), value.sort_key, value.alphabet, size
 
 
 ALPHABETS = [(1, 2, 3), ("x", "y"), ("ab", "c")]
@@ -254,8 +266,12 @@ class TestValueContract:
         both = concat_forests(a, b)
         derived = [tree_forest(b_plus(dec, a)), both, binarise_forest(both), debinarise_forest(binarise_forest(both))]
         derived += [both.without(i) for i in range(len(both.trees))]
-        for forest in derived:
-            assert keys(forest) == keys(rebuild(forest))
+        # The word products build their terms through Word._unchecked too.
+        u, v = Word(list(a.vertices())[:3]), Word(list(b.vertices())[:3])
+        derived += [concat_words(u, v), binarise(concat_words(u, v)), debinarise(binarise(u))]
+        derived += list(shuffle_words_basis(u, v, 1)) + list(shuffle_words_basis(binarise(u), binarise(v), 0))
+        for value in derived:
+            assert keys(value) == keys(rebuild(value))
 
     def test_keys_are_computed_at_construction(self):
         tree = Tree(2, (leaf(3), Tree(1, (leaf(1),))))
@@ -266,6 +282,13 @@ class TestValueContract:
         assert forest.sort_key == (((1, 0, ""), ()), ((1, 1, ""), ()))
         assert (forest.alphabet, forest.vertex_count) == (Alphabet.XY, 2) and forest is Forest._unchecked(forest.trees)
         assert (EMPTY_FOREST.sort_key, EMPTY_FOREST.alphabet, EMPTY_FOREST.vertex_count) == ((), None, 0)
+        assert {"sort_key", "alphabet"} <= set(Word.__slots__)
+        word = Word((2, 1))
+        assert (word.sort_key, word.alphabet) == ((2, 1), Alphabet.POSINT) and word is Word._unchecked(word.letters)
+        assert word.sort_key is word.letters
+        word = Word("xy")
+        assert (word.sort_key, word.alphabet) == ((math.inf, 0, ("x", "y")), Alphabet.XY) and word is Word._unchecked(word.letters)
+        assert (EMPTY_WORD.sort_key, EMPTY_WORD.alphabet) == ((), None)
 
     @pytest.mark.parametrize(
         "value, fields",

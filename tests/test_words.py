@@ -12,6 +12,7 @@ from arbozeta.errors import (
     UnsupportedAlphabet,
 )
 from arbozeta.lincomb import LinComb
+from arbozeta.trees import decoration_key
 from arbozeta.words import (
     EMPTY_WORD,
     MAX_SHUFFLE_TERMS,
@@ -28,6 +29,12 @@ from arbozeta.words import (
 )
 
 compositions = st.lists(st.integers(1, 4), max_size=5).map(tuple)
+# Words over each of the three alphabets; each list may be empty.
+any_words = st.one_of(
+    st.lists(st.integers(1, 12), max_size=4),
+    st.lists(st.sampled_from("xy"), max_size=4),
+    st.lists(st.text("abz", min_size=1, max_size=2), max_size=4),
+).map(Word)
 
 
 class TestValidation:
@@ -50,6 +57,11 @@ class TestValidation:
         checked, unchecked = Word(letters), Word._unchecked(letters)
         # Equal words are one object, so a dict keyed by one finds the other.
         assert checked is unchecked is Word(list(letters))
+
+    @given(st.lists(any_words, max_size=12))
+    def test_sort_key_orders_as_the_decoration_keys(self, words):
+        by_letters = sorted(words, key=lambda w: tuple(map(decoration_key, w.letters)))
+        assert sorted(words, key=lambda w: w.sort_key) == by_letters
 
 
 def lambda_shuffle_size(m: int, n: int, lam) -> Fraction:
