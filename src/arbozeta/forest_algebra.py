@@ -120,7 +120,9 @@ def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
                 for f, c in pair.items():
                     key_f = Forest._unchecked(_canonical(f.trees + rest))
                     sums[key_f] = sums.get(key_f, 0) + c
-        sums = {f: Fraction(c, k * n) for f, c in sums.items()}
+        # Divide a Fraction; build one from an int (Fraction(c, m) of a Fraction c is slow).
+        m = k * n
+        sums = {f: c / m if type(c) is Fraction else Fraction(c, m) for f, c in sums.items()}
     out = LinComb._unchecked(sums)
     _TREE_SHUFFLE_CACHE[key] = out
     return out

@@ -10,6 +10,14 @@ The public constructor merges repeated basis elements and drops zeros.  Sums,
 scalings and the linear and bilinear extensions build their results through
 the private :meth:`LinComb._unchecked`, which trusts that the basis values were
 validated where they entered: never per intermediate term.
+
+Every ``1 * q`` or ``0 + q`` on a Fraction builds a new Fraction, so the sums
+avoid both.  A basis value not yet in the sum is stored with its coefficient
+as it is, not added to 0.  ``bilinear`` multiplies the two coefficients of a
+pair once, and when that product is 1 (always, when both factors are bare
+basis values) it adds the product's own coefficients without multiplying
+them.  ``a - b`` subtracts directly instead of building ``b.scale(-1)``.
+Only the public operators of ``Fraction`` are used.
 """
 from __future__ import annotations
 
@@ -61,9 +69,9 @@ class LinComb(Generic[B]):
         """
         out = cls.__new__(cls)
         if basis is None:
-            out._terms = {b: _norm(c) for b, c in sums.items() if c}
+            out._terms = {b: c if type(c) is int else _norm(c) for b, c in sums.items() if c}
         else:
-            out._terms = {basis(b): _norm(c) for b, c in sums.items() if c}
+            out._terms = {basis(b): c if type(c) is int else _norm(c) for b, c in sums.items() if c}
         return out
 
     def items(self) -> Iterator[tuple[B, Coeff]]:
@@ -97,11 +105,18 @@ class LinComb(Generic[B]):
             return NotImplemented
         sums = dict(self._terms)
         for basis, coeff in other._terms.items():
-            sums[basis] = sums.get(basis, 0) + coeff
+            acc = sums.get(basis)
+            sums[basis] = coeff if acc is None else acc + coeff
         return LinComb._unchecked(sums)
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
-        return self + other.scale(-1)
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        sums = dict(self._terms)
+        for basis, coeff in other._terms.items():
+            acc = sums.get(basis)
+            sums[basis] = -coeff if acc is None else acc - coeff
+        return LinComb._unchecked(sums)
 
     def scale(self, q: Coeff) -> "LinComb[B]":
         return LinComb._unchecked({b: c * q for b, c in self._terms.items()})
@@ -128,15 +143,21 @@ class LinComb(Generic[B]):
             for b2, c2 in other._terms.items():
                 res = product(b1, b2)
                 c = c1 * c2
-                if isinstance(res, LinComb):
+                if not isinstance(res, LinComb):
+                    acc = sums.get(res)
+                    sums[res] = c if acc is None else acc + c
+                elif c == 1:
                     for b, q in res._terms.items():
-                        sums[b] = sums.get(b, 0) + c * q
+                        acc = sums.get(b)
+                        sums[b] = q if acc is None else acc + q
                 else:
-                    sums[res] = sums.get(res, 0) + c
+                    for b, q in res._terms.items():
+                        acc = sums.get(b)
+                        sums[b] = c * q if acc is None else acc + c * q
         return LinComb._unchecked(sums)
 
     def coefficient_sum(self) -> Coeff:
-        return _norm(sum(self._terms.values(), start=Fraction(0)))
+        return _norm(sum(self._terms.values()))
 
     def all_integer(self) -> bool:
         return all(isinstance(c, int) for c in self._terms.values())

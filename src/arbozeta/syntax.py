@@ -15,6 +15,17 @@ Brackets may nest at most ``MAX_NESTING`` deep; deeper input is a
 ``ParseError``, raised before any recursion in the parser or in the
 algorithms that walk a tree can run out of stack.  :func:`render` is the
 one printer of the command line's results.
+
+Forests and words are interned (see ``trees``), so a value's text never
+changes.  :func:`format_basis` therefore prints each interned forest or word
+once and keeps the text in the value's own ``text`` slot.  Nothing ever
+clears it: it lives exactly as long as the value, which the intern tables
+keep for the life of the process, and it can never be stale because the
+value it belongs to cannot change.  A combination's text is still built
+afresh, since its coefficients and order belong to the combination.
+
+The tokenizer is one ``re.findall``: each match is a number, a quoted
+{x,y}-word, a symbol, or any other non-blank character, which is an error.
 """
 from __future__ import annotations
 
@@ -24,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .lincomb import LinComb
-from .trees import Alphabet, Forest, Tree
+from .trees import Alphabet, Forest, Tree, _set
 from .words import Word
 
 if TYPE_CHECKING:
@@ -32,27 +43,21 @@ if TYPE_CHECKING:
 
 MAX_NESTING = 100
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<str>\"[xy]*\")|(?P<sym>[\[\](),+\-*/xy]))"
-)
+# One alternative per token kind; the last one catches any other character.
+_TOKEN = re.compile(r'(\d+)|"([xy]*)"|([\[\](),+\-*/xy])|(\S)')
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("str"):
-            tokens.append(("str", m.group("str")[1:-1]))
+    for num, letters, sym, bad in _TOKEN.findall(text):
+        if num:
+            tokens.append(("num", num))
+        elif sym:
+            tokens.append(("sym", sym))
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}")
         else:
-            tokens.append(("sym", m.group("sym")))
-        pos = m.end()
+            tokens.append(("str", letters))
     return tokens
 
 
@@ -254,9 +259,21 @@ def format_word(w: Word) -> str:
 
 
 def format_basis(basis) -> str:
+    """Text of a forest or word; the empty forest prints as ``()``.
+
+    The first call for a value stores the text in the value's ``text`` slot;
+    later calls read it back (see the module docstring).
+    """
+    try:
+        return basis.text
+    except AttributeError:  # not printed yet
+        pass
     if isinstance(basis, Forest):
-        return format_forest(basis) if basis else "()"
-    return format_word(basis)
+        text = format_forest(basis) if basis else "()"
+    else:
+        text = format_word(basis)
+    _set(basis, "text", text)
+    return text
 
 
 def _signed_sum(terms) -> str:

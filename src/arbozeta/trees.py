@@ -10,7 +10,9 @@ dict: assigning or deleting a field raises ``AttributeError``.  They are
 hash-consed: the private constructors look each value up in an intern table
 and build it only on a miss, so structurally equal values are one object,
 compared and hashed by identity.  A new value computes its keys once, from
-the children's keys: the sort key, the alphabet and the vertex count.
+the children's keys: the sort key, the alphabet and the vertex count.  A
+forest's ``text`` slot stays unset until ``syntax.format_basis`` first
+prints the forest and stores its text there.
 
 The public constructors check decorations and alphabets, sort, then call
 the private ``_unchecked`` constructors.  Code whose input is already
@@ -78,7 +80,11 @@ def _canonical(trees: tuple) -> tuple:
 
 
 class _Value:
-    """Base of the immutable value classes: fields are set once, by ``_unchecked`` or ``__init__``."""
+    """Base of the immutable value classes: fields are set once, by ``_unchecked`` or ``__init__``.
+
+    The one exception is the ``text`` slot of ``Forest`` and ``Word``, set
+    once by the printer (see ``syntax.format_basis``).
+    """
 
     __slots__ = ()
 
@@ -195,7 +201,7 @@ class Tree(_Value):
 class Forest(_Value):
     """Finite multiset of decorated rooted trees; the empty forest is the unit."""
 
-    __slots__ = ("trees", "sort_key", "alphabet", "vertex_count")
+    __slots__ = ("trees", "sort_key", "alphabet", "vertex_count", "text")
 
     def __new__(cls, trees: Iterable[Tree] = ()) -> "Forest":
         trees = tuple(trees)

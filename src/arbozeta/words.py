@@ -13,7 +13,8 @@ through ``Word._unchecked``, never re-validating a term.
 ``Word`` is an immutable, hash-consed ``__slots__`` value like ``Tree`` and
 ``Forest``: ``Word._unchecked`` returns the one word interned for its letter
 tuple, so equal words are one object, compared and hashed by identity.  A
-new word computes its alphabet and sort key once, when it is interned.
+new word computes its alphabet and sort key once, when it is interned; its
+``text`` slot, like a forest's, is set by the printer (see ``trees``).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ _KEY_HEAD = {Alphabet.XY: (math.inf, 0), Alphabet.GENERIC: (math.inf, 1)}
 class Word(_Value):
     """Finite letter sequence; the empty word is the unit of concatenation."""
 
-    __slots__ = ("letters", "sort_key", "alphabet")
+    __slots__ = ("letters", "sort_key", "alphabet", "text")
 
     def __new__(cls, letters: Iterable[Decoration] = ()) -> "Word":
         letters = tuple(letters)

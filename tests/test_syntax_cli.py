@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arbozeta import syntax
 from arbozeta.catalog import forests_with_vertices
@@ -172,6 +174,14 @@ _MALFORMED = [
     ("(2) 3", ParseError, "trailing input at '3'"),
     ("(2)(3)", ParseError, "trailing input at '('"),
     ("(x,1)", AlphabetMismatch, "mixed alphabets xy and posint"),
+    ("$2", ParseError, "unexpected character '$'"),
+    ("2[1$]", ParseError, "unexpected character '$'"),
+    ("2 $", ParseError, "unexpected character '$'"),
+    ("  \t@1", ParseError, "unexpected character '@'"),
+    ("2\xa0$", ParseError, "unexpected character '$'"),
+    ('"xy', ParseError, "unexpected character '\"'"),
+    ('"xz"', ParseError, "unexpected character '\"'"),
+    ("2[1é]", ParseError, "unexpected character 'é'"),
 ]
 
 
@@ -251,6 +261,69 @@ _RENDERED = [
     ),
     (MzvEval(-0.5, 0.0), "-0.5000000000 ± 0", {"value": -0.5, "abs_error": 0.0}),
 ]
+
+
+def _raw_trees():
+    return st.recursive(
+        st.tuples(st.integers(1, 4), st.just(())),
+        lambda children: st.tuples(st.integers(1, 4), st.lists(children, max_size=3).map(tuple)),
+        max_leaves=8,
+    )
+
+
+def _build(raw) -> Tree:
+    dec, children = raw
+    return Tree(dec, tuple(_build(c) for c in children))
+
+
+_FORESTS = st.lists(_raw_trees(), max_size=3).map(lambda raws: Forest(tuple(map(_build, raws))))
+_WORDS = st.one_of(
+    st.lists(st.integers(1, 12), max_size=5).map(Word),
+    st.text("xy", max_size=5).map(Word),
+)
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+def _fresh_text(basis) -> str:
+    """The text of a forest or word computed now, bypassing the text kept on the value."""
+    if isinstance(basis, Forest):
+        return syntax.format_forest(basis) if basis else "()"
+    return syntax.format_word(basis)
+
+
+def _forget_text(basis) -> None:
+    with contextlib.suppress(AttributeError):
+        object.__delattr__(basis, "text")
+
+
+class TestTextMemo:
+    @given(st.one_of(_FORESTS, _WORDS))
+    def test_basis_text_is_the_fresh_text(self, basis):
+        _forget_text(basis)
+        first = syntax.format_basis(basis)
+        assert first == _fresh_text(basis)
+        assert syntax.format_basis(basis) is first
+
+    @given(
+        st.one_of(
+            st.lists(st.tuples(_FORESTS, _COEFFS), max_size=5),
+            st.lists(st.tuples(_WORDS, _COEFFS), max_size=5),
+        )
+    )
+    def test_combination_text_does_not_depend_on_the_memo(self, terms):
+        comb = LinComb(terms)
+        for basis in comb:
+            _forget_text(basis)
+        cold = syntax.format_lincomb(comb)
+        assert syntax.format_lincomb(comb) == cold
+        want = syntax._signed_sum((_fresh_text(b), c) for b, c in comb.sorted_items())
+        assert cold == want
+
+    def test_empty_forest_and_empty_word_print_as_unit(self):
+        for basis in (Forest(), Word(())):
+            assert syntax.format_basis(basis) == syntax.format_basis(basis) == "()"
+        assert syntax.format_lincomb(LinComb({Forest(): 2})) == "2*()"
+        assert syntax.format_lincomb(LinComb({Word(()): -1, Word((1,)): 1})) == "-() + (1)"
 
 
 @pytest.mark.parametrize("value,text,data", _RENDERED, ids=[str(i) for i in range(len(_RENDERED))])

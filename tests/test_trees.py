@@ -79,6 +79,20 @@ def keys(value) -> tuple:
 
 ALPHABETS = [(1, 2, 3), ("x", "y"), ("ab", "c")]
 
+# Coefficients of the LinComb arithmetic test: ints, units and Fractions.
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1, -1]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+_BASES = [
+    Forest(),
+    tree_forest(leaf(1)),
+    tree_forest(leaf(2)),
+    Forest((leaf(1), leaf(2))),
+    tree_forest(b_plus(1, tree_forest(leaf(2)))),
+]
+
 
 class TestCanonicalization:
     def test_children_order_is_immaterial(self):
@@ -228,6 +242,52 @@ class TestLinComb:
         comb = LinComb({tree_forest(leaf(2)): 1}) + LinComb({tree_forest(leaf(2)): -1})
         assert len(comb) == 0
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), _COEFFS), max_size=6),
+        st.lists(st.tuples(st.integers(0, 4), _COEFFS), max_size=6),
+        _COEFFS,
+        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.lists(_COEFFS, max_size=3)),
+    )
+    def test_arithmetic_matches_a_fraction_reference(self, xs, ys, q, table):
+        def comb(pairs):
+            return LinComb((_BASES[i], c) for i, c in pairs)
+
+        def reference(pairs, sign=1, start=None):
+            out = dict(start or {})
+            for i, c in pairs:
+                out[_BASES[i]] = out.get(_BASES[i], Fraction(0)) + sign * Fraction(c)
+            return {b: c for b, c in out.items() if c}
+
+        def product(u, v):
+            """Concatenation, or for pairs in ``table`` a combination of it and both factors."""
+            coeffs = table.get((_BASES.index(u), _BASES.index(v)))
+            if coeffs is None:
+                return concat_forests(u, v)
+            return LinComb(zip((concat_forests(u, v), u, v), coeffs))
+
+        def reference_product(pairs_a, pairs_b):
+            out: dict = {}
+            for b1, c1 in reference(pairs_a).items():
+                for b2, c2 in reference(pairs_b).items():
+                    res = product(b1, b2)
+                    for b, c in (res.items() if isinstance(res, LinComb) else [(res, 1)]):
+                        out[b] = out.get(b, Fraction(0)) + c1 * c2 * c
+            return {b: c for b, c in out.items() if c}
+
+        a, b = comb(xs), comb(ys)
+        want_a, want_b = reference(xs), reference(ys)
+        cases = [
+            (a + b, reference(ys, start=want_a)),
+            (a - b, reference(ys, -1, want_a)),
+            (a.scale(q), {f: c * q for f, c in want_a.items() if c * q}),
+            (a.bilinear(b, product), reference_product(xs, ys)),
+        ]
+        for got, want in cases:
+            assert dict(got.items()) == want
+            for c in got._terms.values():
+                assert c != 0
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
 
 class TestLadders:
     def test_roundtrip(self):
@@ -294,8 +354,8 @@ class TestValueContract:
         "value, fields",
         [
             (Tree(2, (leaf(1),)), ("decoration", "children", "sort_key", "alphabet", "vertex_count")),
-            (Forest((leaf(2), leaf(1))), ("trees", "sort_key", "alphabet", "vertex_count")),
-            (Word((2, 1)), ("letters", "sort_key", "alphabet")),
+            (Forest((leaf(2), leaf(1))), ("trees", "sort_key", "alphabet", "vertex_count", "text")),
+            (Word((2, 1)), ("letters", "sort_key", "alphabet", "text")),
         ],
     )
     def test_values_are_immutable_and_have_no_instance_dict(self, value, fields):
