@@ -7,8 +7,10 @@ checks, 2 parse error, 3 domain error.  Brackets deeper than
 word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), a
 ``shuffle-words`` of two non-empty words of more than that many letters in
 all, and a star value of an index with more than ``words.MAX_STAR_PARTS``
-(13) parts are domain errors, raised before any work.  ``--max-n`` caps the
-polylog horizon of ``eval`` and ``polylog``.  Every verb but ``check``
+(13) parts are domain errors, raised before any work.  A product whose memos
+would store more than ``words.MAX_TERMS`` (1,000,000) terms in one call is a
+domain error too, raised while it works.  ``--max-n`` caps the polylog
+horizon of ``eval`` and ``polylog``.  Every verb but ``check``
 computes one value, which ``syntax.render`` prints as text or JSON.
 """
 from __future__ import annotations

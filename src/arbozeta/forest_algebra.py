@@ -13,7 +13,9 @@ Validation happens where values enter: the public ``Tree``/``Forest``
 constructors and the entry points ``flatten_forest`` and
 ``shuffle_forests_basis``, which check the alphabets and the semigroup
 condition.  The recursions accumulate their terms in plain dicts and build
-them through the private unchecked constructors, never re-validating a term.
+them through the private unchecked constructors, never re-validating a term;
+they store each result through ``words._remember``, which holds them and
+the word shuffle to one term budget (see ``words.MAX_TERMS``).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .errors import NotInImage, SemigroupRequired
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest, Tree, _canonical, concat_forests, merge_alphabets
-from .words import EMPTY_WORD, Word, _require_semigroup, _shuffle_rec, check_weight
+from .words import EMPTY_WORD, Word, _one_budget, _remember, _require_semigroup, _shuffle_rec, check_weight
 
 ForestComb = LinComb[Forest]
 WordComb = LinComb[Word]
@@ -34,12 +36,16 @@ WordComb = LinComb[Word]
 _FLATTEN_CACHE: dict = {}
 
 
+@_one_budget
 def flatten_forest(forest: Forest, lam: Coeff) -> WordComb:
     """Flattening of weight lambda of a basis forest."""
     return _flatten_rec(forest, _require_semigroup(lam, forest.alphabet))
 
 
 def _flatten_rec(forest: Forest, lam: Coeff) -> WordComb:
+    """A tree flattens to its decoration before the flattening of its
+    children; a forest of more trees to the lambda-shuffle of the
+    flattenings of its trees, folded from the first tree on."""
     if not forest:
         return LinComb._unchecked({EMPTY_WORD: 1})
     key = (forest, lam)
@@ -50,27 +56,25 @@ def _flatten_rec(forest: Forest, lam: Coeff) -> WordComb:
     if len(trees) == 1:
         head = (trees[0].decoration,)
         inner = _flatten_rec(Forest._unchecked(trees[0].children), lam)
-        sums = {Word._unchecked(head + w.letters): c for w, c in inner.items()}
+        out = LinComb._unchecked({head + w.letters: c for w, c in inner.items()}, Word._unchecked)
     else:
-        sums = dict(_flatten_rec(Forest._unchecked(trees[:1]), lam).items())
+        shuffle = lambda w1, w2: _shuffle_rec(w1.letters, w2.letters, lam)
+        out = _flatten_rec(Forest._unchecked(trees[:1]), lam)
         for tree in trees[1:]:
-            right = _flatten_rec(Forest._unchecked((tree,)), lam)
-            product: dict = {}
-            for w1, c1 in sums.items():
-                for w2, c2 in right.items():
-                    for w, c in _shuffle_rec(w1.letters, w2.letters, lam).items():
-                        product[w] = product.get(w, 0) + c1 * c2 * c
-            sums = product
-    out = LinComb._unchecked(sums)
-    _FLATTEN_CACHE[key] = out
-    return out
+            out = out.bilinear(_flatten_rec(Forest._unchecked((tree,)), lam), shuffle)
+    return _remember(_FLATTEN_CACHE, key, out)
 
 
+@_one_budget
 def flatten(comb: ForestComb | Forest, lam: Coeff) -> WordComb:
     """Linear extension of the flattening map."""
-    return LinComb(
-        (w, c * coeff) for forest, coeff in _as_comb(comb).items() for w, c in flatten_forest(forest, lam).items()
-    )
+    sums: dict = {}
+    for forest, coeff in _as_comb(comb).items():
+        for w, c in flatten_forest(forest, lam).items():
+            c = c if coeff == 1 else c * coeff
+            acc = sums.get(w)
+            sums[w] = c if acc is None else acc + c
+    return LinComb._unchecked(sums)
 
 
 # -- lambda-shuffle on trees --------------------------------------------------
@@ -78,6 +82,7 @@ def flatten(comb: ForestComb | Forest, lam: Coeff) -> WordComb:
 _TREE_SHUFFLE_CACHE: dict = {}
 
 
+@_one_budget
 def shuffle_forests_basis(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
     """Lambda-shuffle of two basis forests."""
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
@@ -87,7 +92,7 @@ def shuffle_forests_basis(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
 def _graft_into(sums: dict, dec, comb: ForestComb, coeff: Coeff):
     for f, c in comb.items():
         key = Forest._unchecked((Tree._unchecked(dec, f.trees),))
-        sums[key] = sums.get(key, 0) + c * coeff
+        sums[key] = sums.get(key, 0) + (c if coeff == 1 else c * coeff)
 
 
 def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
@@ -123,11 +128,10 @@ def _tree_shuffle_rec(a: Forest, b: Forest, lam: Coeff) -> ForestComb:
         # Divide a Fraction; build one from an int (Fraction(c, m) of a Fraction c is slow).
         m = k * n
         sums = {f: c / m if type(c) is Fraction else Fraction(c, m) for f, c in sums.items()}
-    out = LinComb._unchecked(sums)
-    _TREE_SHUFFLE_CACHE[key] = out
-    return out
+    return _remember(_TREE_SHUFFLE_CACHE, key, LinComb._unchecked(sums))
 
 
+@_one_budget
 def shuffle_forests(a: ForestComb | Forest, b: ForestComb | Forest, lam: Coeff) -> ForestComb:
     """Bilinear lambda-shuffle on linear combinations of forests."""
     return _as_comb(a).bilinear(_as_comb(b), lambda f1, f2: shuffle_forests_basis(f1, f2, lam))
@@ -138,6 +142,7 @@ def concat_comb(a: ForestComb | Forest, b: ForestComb | Forest) -> ForestComb:
     return _as_comb(a).bilinear(_as_comb(b), concat_forests)
 
 
+@_one_budget
 def associator(f1: Forest, f2: Forest, f3: Forest, lam: Coeff) -> ForestComb:
     """(f1 sh f2) sh f3 - f1 sh (f2 sh f3) for the lambda-shuffle on trees."""
     left = shuffle_forests(shuffle_forests_basis(f1, f2, lam), f3, lam)

@@ -19,7 +19,7 @@ new word computes its alphabet and sort key once, when it is interned; its
 from __future__ import annotations
 
 import math
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from typing import Iterable
 
 from .errors import DomainError, NotSemiconvergent, SemigroupRequired, UnsupportedAlphabet
@@ -100,11 +100,51 @@ def _require_semigroup(lam: Coeff, alphabet: Alphabet | None) -> Coeff:
 _SHUFFLE_CACHE: dict = {}
 
 
-# The most terms, counted with multiplicity, that a lambda-shuffle of two
-# words may have.  The recursion memoises the product of every pair of
-# suffixes, so its time and memory grow with this count: D(7, 7) = 48,639
-# terms take about 0.2 s and 50 MB, D(8, 8) = 265,729 about 1.6 s and 260 MB.
-MAX_SHUFFLE_TERMS = 100_000
+# -- the term budget -----------------------------------------------------------
+#
+# The three lambda-recursions (the word shuffle here, the flattening and the
+# tree shuffle in forest_algebra) memoise the product of every pair they meet,
+# so their time and memory grow with the terms their memos store.  One
+# outermost public product call, with every product it makes, may store at
+# most MAX_TERMS terms in all; past that it is refused with DomainError while
+# it works, and what it stored stays memoised.  One million stored terms take
+# a few seconds and a few hundred MB; the heaviest call of the suites and
+# the benchmark stores a few thousand, and the tree shuffle of two 100-deep
+# ladders at lambda = 0 about 692,000.
+MAX_TERMS = 1_000_000
+
+
+class _Budget:
+    """The running outermost product call: whether it runs, and the terms it stored."""
+
+    running = False
+    terms = 0
+
+
+def _one_budget(product):
+    """Decorate a public product so that an outermost call opens a new budget,
+    which the products it calls share."""
+
+    @wraps(product)
+    def call(*args, **kwargs):
+        if _Budget.running:
+            return product(*args, **kwargs)
+        _Budget.running, _Budget.terms = True, 0
+        try:
+            return product(*args, **kwargs)
+        finally:
+            _Budget.running = False
+
+    return call
+
+
+def _remember(memo: dict, key, out: LinComb) -> LinComb:
+    """memo[key] = out, its terms charged to the budget of the running call."""
+    _Budget.terms += len(out)
+    if _Budget.terms > MAX_TERMS:
+        raise DomainError(f"product stores more than {MAX_TERMS} terms, above the term bound")
+    memo[key] = out
+    return out
 
 
 @cache
@@ -116,22 +156,24 @@ def _shuffle_terms(m: int, n: int, contracting: bool) -> int:
     return sum(math.comb(m, k) * math.comb(n, k) << k for k in range(min(m, n) + 1))
 
 
+@_one_budget
 def shuffle_words_basis(a: Word, b: Word, lam: Coeff) -> LinComb[Word]:
     """Lambda-shuffle of two basis words.
 
     Two non-empty words of more than MAX_WEIGHT letters in all are refused,
     since the recursion goes one level deeper per letter, and so is a product
-    of more than MAX_SHUFFLE_TERMS terms, before the recursion starts.
+    of more than MAX_TERMS terms counted with multiplicity, before the
+    recursion starts; the recursion is then held to the term budget.
     """
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     lam = _require_semigroup(lam, alphabet)
     if a and b and len(a) + len(b) > MAX_WEIGHT:
         raise DomainError(f"shuffle of words of {len(a) + len(b)} letters is above the length bound {MAX_WEIGHT}")
     terms = _shuffle_terms(len(a), len(b), bool(lam))
-    if terms > MAX_SHUFFLE_TERMS:
+    if terms > MAX_TERMS:
         raise DomainError(
             f"shuffle of words of {len(a)} and {len(b)} letters has {terms:.3g} terms, "
-            f"above the term bound {MAX_SHUFFLE_TERMS}"
+            f"above the term bound {MAX_TERMS}"
         )
     return _shuffle_rec(a.letters, b.letters, lam)
 
@@ -157,11 +199,10 @@ def _shuffle_rec(u: tuple, v: tuple, lam: Coeff) -> LinComb[Word]:
     if lam:
         # The semigroup product of positive-integer letters is their sum.
         _prepend_into(sums, u[0] + v[0], _shuffle_rec(u[1:], v[1:], lam), lam)
-    out = LinComb._unchecked(sums, Word._unchecked)
-    _SHUFFLE_CACHE[key] = out
-    return out
+    return _remember(_SHUFFLE_CACHE, key, LinComb._unchecked(sums, Word._unchecked))
 
 
+@_one_budget
 def shuffle_words(a: LinComb[Word] | Word, b: LinComb[Word] | Word, lam: Coeff) -> LinComb[Word]:
     """Bilinear lambda-shuffle on linear combinations of words."""
     return _as_comb(a).bilinear(_as_comb(b), lambda w1, w2: shuffle_words_basis(w1, w2, lam))

@@ -80,6 +80,29 @@ def test_other_submodules_import_by_name():
     assert namespace["suites"] is importlib.import_module("arbozeta.suites")
 
 
+# The memo caches that perfbench/workloads.py reads by name, by the clear_*
+# function that it calls by name to empty them.  When one is renamed, the
+# benchmark clears nothing or reads 0.
+_CACHES = {
+    ("words", "clear_shuffle_cache"): ["_SHUFFLE_CACHE"],
+    ("forest_algebra", "clear_forest_caches"): ["_FLATTEN_CACHE", "_TREE_SHUFFLE_CACHE"],
+    ("zeta", "clear_mzv_cache"): ["_MZV_CACHE"],
+}
+
+
+@pytest.mark.parametrize("module,clear", list(_CACHES), ids=[clear for _, clear in _CACHES])
+def test_clear_empties_the_caches_the_benchmark_reads(module, clear):
+    forest = arbozeta.syntax.parse_expression("2 3[1]")
+    arbozeta.flatten_forest(forest, 1)
+    arbozeta.shuffle_forests_basis(forest, forest, 1)
+    arbozeta.eval_mzv((2, 1))
+    submodule = importlib.import_module(f"arbozeta.{module}")
+    caches = [getattr(submodule, name) for name in _CACHES[module, clear]]
+    assert all(isinstance(cache, dict) and cache for cache in caches)
+    getattr(submodule, clear)()
+    assert not any(caches)
+
+
 _FIRST_ACCESS = """
 import sys
 import arbozeta

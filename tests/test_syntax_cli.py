@@ -10,14 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from arbozeta import syntax
+from arbozeta import syntax, words
 from arbozeta.catalog import forests_with_vertices
 from arbozeta.cli import main
 from arbozeta.errors import AlphabetMismatch, ParseError
-from arbozeta.forest_algebra import flatten, flatten_forest
+from arbozeta.forest_algebra import clear_forest_caches, flatten, flatten_forest
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest, Tree, b_plus, leaf, tree_forest
-from arbozeta.words import MAX_SHUFFLE_TERMS, MAX_STAR_PARTS, MAX_WEIGHT, Word, clear_shuffle_cache
+from arbozeta.words import MAX_STAR_PARTS, MAX_TERMS, MAX_WEIGHT, Word, clear_shuffle_cache
 from arbozeta.zeta import MzvCombination, MzvEval
 
 
@@ -669,19 +669,33 @@ _MEMORY_CALLS = [
 ]
 
 _LIMITED = """
-import contextlib, io, json, resource, sys, time
+import contextlib, hashlib, io, json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import arbozeta.cli
 
 report = []
 for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = arbozeta.cli.main(argv)
-    report.append((code, err.getvalue(), time.perf_counter() - start))
+    seconds = time.perf_counter() - start
+    report.append((code, err.getvalue(), seconds, hashlib.sha256(out.getvalue().encode()).hexdigest()))
 print(json.dumps(report))
 """
+
+
+def _limited(calls):
+    """(exit code, stderr, seconds, sha256 of stdout) of each call of ``cli.main``,
+    made one after another in one fresh process under a 1 GB RLIMIT_AS."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestWeightBound:
@@ -692,14 +706,7 @@ class TestWeightBound:
         assert err.startswith("error: ") and f"above the weight bound {MAX_WEIGHT}" in err
 
     def test_heavy_input_in_bounded_memory(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", _LIMITED, json.dumps(_MEMORY_CALLS)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        for argv, (code, err, seconds) in zip(_MEMORY_CALLS, json.loads(proc.stdout)):
+        for argv, (code, err, seconds, _) in zip(_MEMORY_CALLS, _limited(_MEMORY_CALLS)):
             assert code == 3 and f"above the weight bound {MAX_WEIGHT}" in err, argv
             assert seconds < 1.0, argv
 
@@ -747,7 +754,7 @@ _REFUSED_BEFORE_THE_WORK = [
     (["shuffle-words", "(" + ",".join(["1"] * 1000) + ")", "(2)"], "shuffle of words of 1001 letters is above the length bound 256"),
     (
         ["shuffle-words", "(" + ",".join(["1"] * 128) + ")", "(" + ",".join(["1"] * 128) + ")", "--lambda", "1"],
-        f"shuffle of words of 128 and 128 letters has 4.95e+96 terms, above the term bound {MAX_SHUFFLE_TERMS}",
+        f"shuffle of words of 128 and 128 letters has 4.95e+96 terms, above the term bound {MAX_TERMS}",
     ),
     (
         ["shuffle-words", "(" + ",".join(map(str, range(1, 13))) + ")", "(" + ",".join(map(str, range(13, 25))) + ")", "--lambda", "1"],
@@ -759,14 +766,7 @@ _REFUSED_BEFORE_THE_WORK = [
 class TestRefusedBeforeTheWork:
     def test_refused_in_bounded_time_and_memory(self):
         calls = [argv for argv, _ in _REFUSED_BEFORE_THE_WORK]
-        proc = subprocess.run(
-            [sys.executable, "-c", _LIMITED, json.dumps(calls)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        for (argv, message), (code, err, seconds) in zip(_REFUSED_BEFORE_THE_WORK, json.loads(proc.stdout)):
+        for (argv, message), (code, err, seconds, _) in zip(_REFUSED_BEFORE_THE_WORK, _limited(calls)):
             assert code == 3 and err.startswith("error: ") and message in err, argv
             assert "Traceback" not in err and seconds < 1.0, argv
 
@@ -775,3 +775,60 @@ class TestRefusedBeforeTheWork:
         assert (code, err) == (0, "") and float(out.split()[0]) > 1.0
         code, _, err = run_cli("reduce", "--flavor", "star", _ladder(2, 100))
         assert code == 0 and not err
+
+
+# Each ended in a MemoryError traceback under 1 GB, after 20 to 40 s, before
+# the term budget: the flattening of 9 one-vertex trees at lambda = 1, and at
+# lambda = 0 that of the binarised forest 2 3 4 5 6 7 8.
+_PAST_THE_BUDGET = [
+    ["reduce", "2 3 4 5 6 7 8 9 10"],
+    ["reduce", "--flavor", "shuffle", " ".join("x[" * (n - 1) + "y" + "]" * (n - 1) for n in range(2, 9))],
+]
+
+
+def _clear_product_memos():
+    clear_shuffle_cache()
+    clear_forest_caches()
+
+
+class TestTermBudget:
+    """One outermost product call, with every product it makes, stores at most
+    words.MAX_TERMS terms in the memos of the three lambda-recursions."""
+
+    @pytest.mark.parametrize("argv", _PAST_THE_BUDGET, ids=["reduce 9 trees", "reduce binarised 7 trees"])
+    def test_refused_while_it_works(self, argv):
+        # Each call in its own process, so that no call's memos count against the next one's memory.
+        [(code, err, seconds, _)] = _limited([argv])
+        assert (code, err) == (3, f"error: product stores more than {MAX_TERMS} terms, above the term bound\n")
+        assert seconds < 10.0
+
+    def test_ladder_shuffle_within_the_budget(self):
+        """The tree shuffle of two 100-deep ladders stores about 692,000 terms; its output is pinned by its digest."""
+        [(code, err, _, digest)] = _limited([["shuffle-trees", _ladder(2, 100), _ladder(2, 100)]])
+        assert (code, err) == (0, "")
+        assert digest == "1ed3d24f6af51aa3d7b33d90b5e640d5e9291ecd8117513cc7d0b472556e37ae"
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_TERMS", 20_000)
+        _clear_product_memos()
+        yield
+        _clear_product_memos()
+
+    def test_flatten_within_a_small_budget(self, small_budget):
+        code, out, err = run_cli("flatten", "2 3 4 5 6 7", "--lambda", "1")
+        assert (code, err) == (0, "") and out.startswith("(2,3,4,5,6,7) + ")
+        assert words._Budget.terms == 11_805
+
+    def test_flatten_past_a_small_budget(self, small_budget):
+        code, out, err = run_cli("flatten", "2 3 4 5 6 7 8", "--lambda", "1")
+        assert (code, out, err) == (3, "", "error: product stores more than 20000 terms, above the term bound\n")
+
+    def test_one_budget_per_outermost_call(self, small_budget):
+        """The terms of a combination, or of an associator, count against one budget; the next call starts a new one."""
+        assert run_cli("flatten", "2 3 4 5 6 7 + 3 4 5 6 7 8", "--lambda", "1")[0] == 3
+        assert run_cli("associator", _ladder(2, 7), _ladder(2, 7), _ladder(2, 7))[0] == 3
+        _clear_product_memos()
+        for argv in (["flatten", "2 3 4 5 6 7", "--lambda", "1"], ["flatten", "3 4 5 6 7 8", "--lambda", "1"],
+                     ["shuffle-trees", _ladder(2, 7), _ladder(2, 7)]):
+            assert run_cli(*argv)[0] == 0, argv

@@ -15,7 +15,7 @@ from arbozeta.lincomb import LinComb
 from arbozeta.trees import decoration_key
 from arbozeta.words import (
     EMPTY_WORD,
-    MAX_SHUFFLE_TERMS,
+    MAX_TERMS,
     MAX_WEIGHT,
     Word,
     _shuffle_terms,
@@ -147,16 +147,18 @@ class TestShuffles:
         assert shuffle_words_basis(long, EMPTY_WORD, 1) == LinComb.of(long)
 
     def test_term_bound(self):
-        """A product of more than MAX_SHUFFLE_TERMS terms, counted with multiplicity, is refused before its recursion."""
+        """A product of more than MAX_TERMS terms, counted with multiplicity, is refused before its recursion."""
         for m, n in [(0, 5), (3, 4), (6, 6), (12, 12)]:
             assert _shuffle_terms(m, n, True) == lambda_shuffle_size(m, n, 1)
             assert _shuffle_terms(m, n, False) == math.comb(m + n, m)
         # At lambda = 0 the ones shuffle into one word whose coefficient is the count.
         nine, ten = Word([1] * 9), Word([1] * 10)
         assert shuffle_words_basis(nine, nine, 0) == LinComb.of(Word([1] * 18), math.comb(18, 9))
-        with pytest.raises(DomainError, match=f"^shuffle of words of 10 and 10 letters has 1.85e\\+05 terms, above the term bound {MAX_SHUFFLE_TERMS}$"):
-            shuffle_words_basis(ten, ten, 0)
-        with pytest.raises(DomainError, match="^shuffle of words of 9 and 9 letters has 1.46e\\+06 terms"):
+        assert shuffle_words_basis(ten, ten, 0) == LinComb.of(Word([1] * 20), math.comb(20, 10))
+        twelve = Word([1] * 12)
+        with pytest.raises(DomainError, match=f"^shuffle of words of 12 and 12 letters has 2.7e\\+06 terms, above the term bound {MAX_TERMS}$"):
+            shuffle_words_basis(twelve, twelve, 0)
+        with pytest.raises(DomainError, match=f"^shuffle of words of 9 and 9 letters has 1.46e\\+06 terms, above the term bound {MAX_TERMS}$"):
             shuffle_words_basis(nine, nine, 1)
         with pytest.raises(SemigroupRequired):
             shuffle_words_basis(Word("x" * 128), Word("y" * 128), 1)
