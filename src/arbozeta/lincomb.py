@@ -37,7 +37,10 @@ def _norm(q: Coeff) -> Coeff:
 
 
 class LinComb(Generic[B]):
-    """Immutable-by-convention map basis -> nonzero rational coefficient."""
+    """Immutable-by-convention map basis -> nonzero rational coefficient.
+
+    It compares by its terms and is unhashable, like ``MzvCombination``.
+    """
 
     __slots__ = ("_terms",)
 
@@ -96,9 +99,6 @@ class LinComb(Generic[B]):
         if not isinstance(other, LinComb):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
         if not isinstance(other, LinComb):

@@ -31,9 +31,11 @@ from arbozeta.zeta import MzvCombination, eval_combination, eval_mzv, reduce_azv
 PRECISION = 1e-8
 
 
-# The exact families of check --suite all --weight-bound 6, in report order.
+# The exact entries of check --suite all --weight-bound 6, in report order.
 # Their case counts are pure combinatorics: a family that checks fewer cases
-# shows up here, on every platform.
+# shows up here, on every platform.  The single laws of morphisms,
+# associator-kernel and worked-identity hold exactly after reduction or on
+# words, so they are exact entries too; their texts name the seeded draws.
 EXACT_FAMILIES_AT_6 = [
     ("word-shuffle", "commutativity lambda=-1 [164 instances]"),
     ("word-shuffle", "associativity lambda=-1 [1023 instances]"),
@@ -82,11 +84,96 @@ EXACT_FAMILIES_AT_6 = [
     ("rota-baxter", "tree-shuffle morphism on nonstrict-sum [816 instances]"),
     ("rota-baxter", "tree-shuffle morphism on integration [816 instances]"),
     ("star-reduction", "merge expansion of (2,1,1) [1 instances]"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #0 (lambda=-1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #1 (lambda=-1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #2 (lambda=-1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #3 (lambda=-1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #4 (lambda=1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #5 (lambda=-1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #6 (lambda=1)"),
+    ("morphisms", "flatten/tree-shuffle compatibility after reduction #7 (lambda=1)"),
+    ("associator-kernel", "stuffle associator #0: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #1: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #2: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #3: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #4: 3[1] ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #5: 2 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #6: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #7: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #8: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #9: 2 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #10: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #11: 2[1,1] ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #12: 2[1[1]] ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #13: 4 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #14: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #15: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #16: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #17: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #18: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #19: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #20: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #21: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #22: 2 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #23: 3 ; 2 ; 2"),
+    ("associator-kernel", "stuffle associator #24: 2[1,1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #0: 3[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #1: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #2: 2 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #3: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #4: 3[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #5: 4 ; 2 ; 2"),
+    ("associator-kernel", "star associator #6: 4 ; 2 ; 2"),
+    ("associator-kernel", "star associator #7: 2[1,1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #8: 4 ; 2 ; 2"),
+    ("associator-kernel", "star associator #9: 4 ; 2 ; 2"),
+    ("associator-kernel", "star associator #10: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #11: 2[2] ; 2 ; 2"),
+    ("associator-kernel", "star associator #12: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #13: 4 ; 2 ; 2"),
+    ("associator-kernel", "star associator #14: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #15: 2[2] ; 2 ; 2"),
+    ("associator-kernel", "star associator #16: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #17: 2[1] ; 2 ; 2"),
+    ("associator-kernel", "star associator #18: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #19: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #20: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #21: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #22: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #23: 2 ; 2 ; 2"),
+    ("associator-kernel", "star associator #24: 2 ; 2 ; 2"),
+    ("associator-kernel", "shuffle associator #0: x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #1: x[y[x[y]]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #2: x[y] x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #3: x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #4: x[x[y[y]]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #5: x[x[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #6: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #7: x[y] x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #8: x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #9: x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #10: x[x[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #11: x[x[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #12: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #13: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #14: x[x[y[y]]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #15: x[y] x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #16: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #17: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #18: x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #19: x[y[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #20: x[y] x[y] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #21: x[x[y[y]]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #22: x[x[y]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #23: x[x[x[y]]] ; x[y] ; x[y]"),
+    ("associator-kernel", "shuffle associator #24: x[y] ; x[y] ; x[y]"),
     ("hoffman-words", "divergent binary words cancel in the regularisation combination [31 instances]"),
     ("hoffman-trees", "tree-level regularisation difference is convergent [325 instances]"),
     ("hoffman-trees", "word-level discrepancy keeps divergent words exactly off single ladders [325 instances]"),
     ("hoffman-trees", "divergent basis forests cancel exactly in the 2[1,1] defect [1 instances]"),
     ("hoffman-trees", "2[1,1] defect reduces to 2z(3,1,1)+z(2,1,2)+2z(2,2,1)-2z(2,1,1,1) [1 instances]"),
+    ("worked-identity", "both association orders of (2 2, 2, 2) evaluate equally"),
+    ("worked-identity", "associator of (2 2, 2, 2) lies in the stuffle kernel"),
 ]
 
 # The aggregated numeric families of the same run, in report order.  Their
@@ -310,6 +397,7 @@ def test_check_all_entry_point():
     print(f"[acceptance] check --suite all --weight-bound 6: "
           f"{'PASS' if not bad else 'FAIL'} [{len(entries)} entries, {elapsed:.1f}s]")
     assert not bad, f"{len(bad)} entries failed; first: {bad[0]['instance']}"
+    assert len(entries) == 264
     exact = [(e["suite"], e["instance"]) for e in entries if e["lhs"] == "exact"]
     assert exact == EXACT_FAMILIES_AT_6
     numeric = [(e["suite"], e["instance"]) for e in entries if e["lhs"] != "exact"]

@@ -1,5 +1,7 @@
+import math
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -7,9 +9,12 @@ from arbozeta.errors import DomainError
 from arbozeta import cli, suites, syntax
 from arbozeta.suites import (
     SUITES,
+    _certified,
     _companion,
+    _exact,
     _family,
     _pairs,
+    _product,
     _tally,
     _unnormalized_associator,
     _with_lambda,
@@ -19,6 +24,7 @@ from arbozeta.suites import (
 from arbozeta.lincomb import LinComb
 from arbozeta.trees import Forest
 from arbozeta.words import Word
+from arbozeta.zeta import MzvEval
 
 REPORT_KEYS = {"suite", "instance", "lhs", "rhs", "residual", "tolerance", "pass"}
 
@@ -174,6 +180,52 @@ def test_family_counts_failures_and_names_the_first():
     assert passing["instance"] == "even numbers [2 instances]"
     assert passing["residual"] == 0.0 and passing["pass"] is True
     assert described == [5]
+
+
+def test_exact_entry_passes_only_when_nothing_fails():
+    entry = _exact("law", 0)
+    assert (entry["instance"], entry["lhs"], entry["rhs"]) == ("law", "exact", "exact")
+    assert (entry["residual"], entry["tolerance"], entry["pass"]) == (0.0, 0.0, True)
+    for failures, residual in ((True, 1.0), (3, 3.0)):
+        failing = _exact("law", failures)
+        assert (failing["residual"], failing["pass"]) == (residual, False)
+
+
+def test_certified_entry_passes_at_the_sum_of_the_bounds_and_fails_past_it():
+    lhs = MzvEval(1.0, 0.25)
+    entry = _certified("gap", lhs, MzvEval(1.5, 0.25))
+    assert (entry["lhs"], entry["rhs"], entry["residual"], entry["tolerance"]) == (1.0, 1.5, 0.5, 0.5)
+    assert entry["pass"] is True
+    past = _certified("gap", lhs, MzvEval(math.nextafter(1.5, 2.0), 0.25))
+    assert past["residual"] > past["tolerance"] == 0.5
+    assert past["pass"] is False
+
+
+def test_product_bound_covers_the_worst_corner_and_the_rounding():
+    prod = _product(MzvEval(2.0, 0.5), MzvEval(3.0, 0.25))
+    assert prod.value == 6.0
+    assert prod.abs_error == 2.0 * 0.25 + 3.0 * 0.5 + 0.5 * 0.25 + 6.0 * 2.0**-53
+    assert abs(2.5 * 3.25 - prod.value) <= prod.abs_error
+    # Exact factors: only the rounding of the product is left.
+    third, three = MzvEval(1 / 3, 0.0), MzvEval(3.0, 0.0)
+    prod = _product(third, three)
+    error = abs(Fraction(third.value) * 3 - Fraction(prod.value))
+    assert 0 < error <= Fraction(prod.abs_error) == Fraction(2.0**-53)
+
+
+def test_morphisms_fail_on_an_error_of_1e9_in_every_arborified_value(monkeypatch):
+    """Each entry that compares azv with a product of azv values catches the
+    error: 10 concatenation and 50 tree-shuffle entries."""
+    azv = suites.azv
+
+    def off(*args):
+        ev = azv(*args)
+        return MzvEval(ev.value + 1e-9, ev.abs_error)
+
+    monkeypatch.setattr(suites, "azv", off)
+    entries = run_suite("morphisms", 6, 1e-8)
+    assert len(entries) == 104
+    assert sum(not entry["pass"] for entry in entries) >= 60
 
 
 def test_tally_counts_failures_and_names_the_first():

@@ -242,6 +242,10 @@ class TestLinComb:
         comb = LinComb({tree_forest(leaf(2)): 1}) + LinComb({tree_forest(leaf(2)): -1})
         assert len(comb) == 0
 
+    def test_combination_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(LinComb.of(tree_forest(leaf(2))))
+
     @given(
         st.lists(st.tuples(st.integers(0, 4), _COEFFS), max_size=6),
         st.lists(st.tuples(st.integers(0, 4), _COEFFS), max_size=6),
