@@ -9,9 +9,10 @@ word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), a
 all, and a star value of an index with more than ``words.MAX_STAR_PARTS``
 (13) parts are domain errors, raised before any work.  A product whose memos
 would store more than ``words.MAX_TERMS`` (1,000,000) terms in one call is a
-domain error too, raised while it works.  ``--max-n`` caps the polylog
-horizon of ``eval`` and ``polylog``.  Every verb but ``check``
-computes one value, which ``syntax.render`` prints as text or JSON.
+domain error too, raised while it works.  ``polylog --max-n`` caps the
+polylog horizon; ``eval`` has no cap, because a zeta value needs at most
+1,024 terms.  Every verb but ``check`` computes one value, which
+``syntax.render`` prints as text or JSON.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ from .words import Word, binarise, shuffle_words
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
-
-MAX_N_HELP = "cap on the polylog horizon, the power-series terms per polylogarithm (default: 10^7)"
 
 
 def _fraction(text: str) -> Fraction:
@@ -96,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--flavor", choices=("stuffle", "star", "shuffle"), default="stuffle")
     p.add_argument("--precision", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=None, help=MAX_N_HELP)
 
     p = add("polylog", help="multiple polylogarithm of a composition or xy-forest")
     p.add_argument("expr")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--precision", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=None, help=MAX_N_HELP)
+    p.add_argument("--max-n", type=int, default=None,
+                   help="cap on the polylog horizon, the power-series terms per polylogarithm (default: 10^7)")
 
     p = add("associator", help="associator of three forests for the tree shuffle")
     p.add_argument("first")
@@ -148,7 +147,7 @@ def _reduce(a):
 def _eval(a):
     from .zeta import eval_combination
 
-    return eval_combination(_reduce(a), a.precision, a.max_n)
+    return eval_combination(_reduce(a), a.precision)
 
 
 def _polylog(a):

@@ -211,10 +211,6 @@ class ConvergenceClass(enum.Enum):
     NOT_CONVERGENT = "not-convergent"
 
     @property
-    def is_convergent(self) -> bool:
-        return self in (ConvergenceClass.CONV_POSINT, ConvergenceClass.CONV_XY)
-
-    @property
     def is_semiconvergent(self) -> bool:
         return self is not ConvergenceClass.NOT_CONVERGENT
 

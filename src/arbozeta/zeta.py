@@ -20,13 +20,16 @@ Every evaluation returns a value with a certified absolute error bound made
 of the series tail, the fixed-point roundoff, the conversion to float and the
 float arithmetic that combines the factors.
 
-Every evaluator works in one order: plan, refuse, kernel, combine.  A plan
-is the pair that :func:`_horizon` returns, a horizon and the tail-plus-roundoff
-bound of each suffix depth.  All plans of a call are made before any kernel
-runs, those of both Hölder factors of every uncached zeta value and of the
-merges of every uncached star index included, so a horizon past the cap, or a
-polylog bound that the plans already put above the precision, is refused
-first; then the kernel runs once per index and :func:`_combine` sums the terms.
+The polylog evaluators work in one order: plan, refuse, kernel, combine.  A
+plan is the pair that :func:`_horizon` returns, a horizon and the
+tail-plus-roundoff bound of each suffix depth.  All plans of a call are made
+before any kernel runs, so a horizon past the cap, or a bound that the plans
+already put above the precision, is refused first; then the kernel runs once
+per index and :func:`_combine` sums the terms.  Zeta values need no plan
+phase: at z = 1/2 every index up to the weight bound meets ``MZV_TAIL``
+within 64 to 1,024 terms, far below the cap, so :func:`_holder` plans its two
+factors as it runs.  Only a star index of too many parts must be refused
+before any kernel, and :func:`eval_combination` does that first.
 
 Roundoff of the fixed-point kernel.  With X = 2^P (P = 128) the kernel holds
 floor(X z^m), floor(X / m^r) and the strict inner sums S_v(m) =
@@ -89,15 +92,6 @@ _ZPOWERS: dict[tuple[float, int], list[int]] = {}  # (z, n): floor(2^P z^m), m =
 _WEIGHTS: dict[tuple[int, float, int], list[int]] = {}  # (r, z, n): power * table entry, m = 1..n
 _LEVELS: dict[tuple[Composition, int], list[int]] = {}  # (v, n): S_v(m) at 2^P, m = 1..n
 _SUMS: dict[tuple[Composition, float, int], int] = {}  # (u, z, n): see _fixed_polylogs
-
-
-def summation_cap(max_n: int | None = None) -> int:
-    """Largest polylog horizon allowed: ``max_n``, else ``DEFAULT_MAX_N``."""
-    if max_n is None:
-        return DEFAULT_MAX_N
-    if max_n < 1:
-        raise DomainError(f"summation cap must be positive, got {max_n}")
-    return max_n
 
 
 class MzvEval(_Record):
@@ -319,16 +313,16 @@ def _dual(s: Composition) -> Composition:
     return debinarise(Word(tuple(swap[c] for c in reversed(binarise(s).letters)))).letters
 
 
-def _holder(plans: list[tuple[Composition, tuple[int, list[float]]]]) -> MzvEval:
-    """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor,
-    from the plans of s and of its dual.
+def _holder(s: Composition) -> MzvEval:
+    """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor.
 
     Suffixes of tau(w) are the tau-images of prefixes of w, so two kernel
-    passes give every factor.  Products propagate |a| db + |b| da + da db, and
-    the final float sum of n + 1 products adds gamma_(n+2).
+    passes, over s and over its dual, give every factor.  Products propagate
+    |a| db + |b| da + da db, and the final float sum of n + 1 products adds
+    gamma_(n+2).
     """
-    n = sum(plans[0][0])
-    after, before = [_suffix_polylogs(t, 0.5, plan) for t, plan in plans]
+    n = sum(s)
+    after, before = [_suffix_polylogs(t, 0.5, _horizon(t, 0.5, MZV_TAIL, DEFAULT_MAX_N)) for t in (s, _dual(s))]
     total = size = err = 0.0
     for k in range(n + 1):
         (a, da), (b, db) = before[n - k], after[k]
@@ -354,48 +348,24 @@ def _combine(terms) -> tuple[float, float]:
     return total, err
 
 
-_MZV_CACHE: dict[tuple[str, Composition, int], MzvEval] = {}
+_MZV_CACHE: dict[tuple[str, Composition], MzvEval] = {}
 
 
-def _plan(key: tuple[str, Composition, int], plans: dict) -> None:
-    """Plan zeta(s) or zeta*(s), key = (flavor, s, cap), into ``plans`` unless it is cached.
-
-    A strict plan is the pair of _horizon plans of s and of its dual, a star
-    plan the merges of s, each of which is planned in turn.  The cache key
-    holds the horizon cap, because a lower cap can leave a larger bound.
-    """
-    if key in _MZV_CACHE or key in plans:
-        return
-    flavor, s, cap = key
-    if flavor == "strict":
-        plans[key] = [(t, _horizon(t, 0.5, MZV_TAIL, cap)) for t in (s, _dual(s))]
-    else:
-        plans[key] = star_to_strict(s).sorted_items()
-        for t, _ in plans[key]:
-            _plan(("strict", t, cap), plans)
-
-
-def _mzv(key: tuple[str, Composition, int], plans: dict) -> MzvEval:
-    """zeta(s) or zeta*(s) at the kernel's floor, from the cache or else from its plan."""
-    ev = _MZV_CACHE.get(key)
+def _mzv(flavor: str, s: Composition) -> MzvEval:
+    """zeta(s) or zeta*(s) at the kernel's floor, from the cache or else computed and cached."""
+    ev = _MZV_CACHE.get((flavor, s))
     if ev is None:
-        flavor, _, cap = key
         if flavor == "strict":
-            ev = _holder(plans[key])
+            ev = _holder(s)
         else:
-            ev = MzvEval(*_combine([(c, _mzv(("strict", t, cap), plans)) for t, c in plans[key]]))
-        _MZV_CACHE[key] = ev
+            ev = MzvEval(*_combine([(c, _mzv("strict", t)) for t, c in star_to_strict(s).sorted_items()]))
+        _MZV_CACHE[(flavor, s)] = ev
     return ev
 
 
-def eval_mzv(
-    s,
-    flavor: str = "strict",
-    precision: float = DEFAULT_PRECISION,
-    max_n: int | None = None,
-) -> MzvEval:
+def eval_mzv(s, flavor: str = "strict", precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Multiple zeta value (strict nesting) or its star variant (non-strict)."""
-    return eval_combination(MzvCombination({tuple(s): 1}, flavor), precision, max_n)
+    return eval_combination(MzvCombination({tuple(s): 1}, flavor), precision)
 
 
 def clear_mzv_cache():
@@ -457,37 +427,30 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
     return result
 
 
-def eval_combination(
-    comb: MzvCombination,
-    precision: float = DEFAULT_PRECISION,
-    max_n: int | None = None,
-) -> MzvEval:
+def eval_combination(comb: MzvCombination, precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Sum of coeff * zeta(index), each term at the kernel's floor.
 
-    Every value that the cache lacks is planned, in the order of evaluation,
-    before any kernel runs.
+    A star index of too many parts is refused before any kernel runs.
     """
     _check_precision(precision)
-    cap = summation_cap(max_n)
     items = comb.sorted_items()
-    plans: dict = {}
-    for index, _ in items:
-        if index:
-            _plan((comb.flavor, index, cap), plans)
-    terms = [(coeff, _mzv((comb.flavor, index, cap), plans) if index else MzvEval(1.0, 0.0)) for index, coeff in items]
+    if comb.flavor == "star":
+        for index, _ in items:
+            _check_star_parts(index)
+    terms = [(coeff, _mzv(comb.flavor, index) if index else MzvEval(1.0, 0.0)) for index, coeff in items]
     total, err = _combine(terms)
     _require(err, precision, "combination")
     return MzvEval(total, err)
 
 
-def azv(
-    forest_or_comb,
-    flavor: str,
-    precision: float = DEFAULT_PRECISION,
-    max_n: int | None = None,
-) -> MzvEval:
+def azv(forest_or_comb, flavor: str, precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Arborified zeta value: reduce, then evaluate."""
-    return eval_combination(reduce_azv(forest_or_comb, flavor), precision, max_n)
+    return eval_combination(reduce_azv(forest_or_comb, flavor), precision)
+
+
+def _check_star_parts(s: Composition):
+    if len(s) > MAX_STAR_PARTS:
+        raise DomainError(f"star index of {len(s)} parts is above the bound of {MAX_STAR_PARTS} parts")
 
 
 def star_to_strict(s) -> MzvCombination:
@@ -497,8 +460,7 @@ def star_to_strict(s) -> MzvCombination:
     """
     s = tuple(s)
     _validate_index(s)
-    if len(s) > MAX_STAR_PARTS:
-        raise DomainError(f"star index of {len(s)} parts is above the bound of {MAX_STAR_PARTS} parts")
+    _check_star_parts(s)
     if not s:
         return MzvCombination({(): 1}, "strict")
     terms: dict[Composition, Coeff] = {}
@@ -517,10 +479,15 @@ def star_to_strict(s) -> MzvCombination:
 # -- polylogarithms ----------------------------------------------------------------
 
 def _check_polylog_args(z: float, precision: float, max_n: int | None) -> int:
+    """The largest horizon allowed: ``max_n``, else ``DEFAULT_MAX_N``."""
     if not 0.0 <= z < 1.0:
         raise DomainError(f"polylog series needs 0 <= z < 1, got {z}")
     _check_precision(precision)
-    return summation_cap(max_n)
+    if max_n is None:
+        return DEFAULT_MAX_N
+    if max_n < 1:
+        raise DomainError(f"summation cap must be positive, got {max_n}")
+    return max_n
 
 
 def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: float, cap: int, what: str) -> MzvEval:

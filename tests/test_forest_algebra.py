@@ -241,8 +241,8 @@ class TestConvergence:
         )
 
     def test_empty_is_convergent(self):
-        assert convergence_class(EMPTY_FOREST).is_convergent
-        assert convergence_class(EMPTY_FOREST, Alphabet.XY).is_convergent
+        assert convergence_class(EMPTY_FOREST) is ConvergenceClass.CONV_POSINT
+        assert convergence_class(EMPTY_FOREST, Alphabet.XY) is ConvergenceClass.CONV_XY
 
     def test_binary_classes(self):
         conv = tree_forest(b_plus("x", tree_forest(b_plus("y", tree_forest(leaf("y"), leaf("y"))))))
@@ -253,12 +253,12 @@ class TestConvergence:
         assert convergence_class(bad, Alphabet.XY) is ConvergenceClass.NOT_CONVERGENT
 
     def test_stability_under_shuffles(self):
-        pool = [f for f in forests_up_to_weight(5) if convergence_class(f).is_convergent]
+        pool = [f for f in forests_up_to_weight(5) if convergence_class(f) is ConvergenceClass.CONV_POSINT]
         for a in pool[:20]:
             for b in pool[:20]:
                 for lam in (-1, 1):
                     out = shuffle_forests_basis(a, b, lam)
-                    assert all(convergence_class(f).is_convergent for f in out)
+                    assert all(convergence_class(f) is ConvergenceClass.CONV_POSINT for f in out)
 
     def test_ladder_compatibility(self):
         from arbozeta.words import binarise

@@ -53,20 +53,13 @@ class TestPolylog:
         with pytest.raises(PrecisionUnreachable, match="certified error 1.11689e[+]246 exceeds 1e-08"):
             eval_polylog((1,) * 256, 0.99)
 
-    def test_holder_factors_are_planned_before_the_kernel(self, no_kernel):
-        """zeta(5) fits in 64 terms, but its Hölder dual (2, 1, 1, 1) needs 128.
-
-        In a combination, and among the merges (2, 3) and (5) of zeta*(2, 3),
-        it is refused before the kernels of the values that fit have run.
-        """
+    def test_star_parts_are_refused_before_the_kernel(self, no_kernel):
+        """(2, 1^12) has 13 parts, within the bound, and (2, 1^13) has 14: the
+        combination is refused before the kernel of the first index runs."""
         zeta.clear_mzv_cache()
-        message = r"^polylog \(2, 1, 1, 1\) at z=0.5 needs a horizon beyond 64$"
-        with pytest.raises(PrecisionUnreachable, match=message):
-            eval_mzv((5,), max_n=64)
-        with pytest.raises(PrecisionUnreachable, match=message):
-            eval_combination(MzvCombination({(2,): 1, (3,): 1, (5,): 1}), 1e-8, 64)
-        with pytest.raises(PrecisionUnreachable, match=message):
-            eval_mzv((2, 3), "star", 1e-8, 64)
+        comb = MzvCombination({(2,) + (1,) * 12: 1, (2,) + (1,) * 13: 1}, "star")
+        with pytest.raises(DomainError, match="^star index of 14 parts is above the bound of 13 parts$"):
+            eval_combination(comb)
 
     def test_cached_values_are_not_planned(self, monkeypatch):
         ev = eval_mzv((2, 3), "star", 1e-8)

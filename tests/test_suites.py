@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from arbozeta.errors import DomainError
+from arbozeta.errors import DomainError, PrecisionUnreachable
 from arbozeta import cli, suites, syntax
 from arbozeta.suites import (
     SUITES,
@@ -160,6 +160,54 @@ def test_check_reports_a_worker_error_as_a_domain_error(monkeypatch, capsys):
     assert cli.main(["check", "--suite", "all", "--weight-bound", "3"]) == cli.EXIT_DOMAIN_ERROR
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_all_reports_an_uncertifiable_value_as_one_failed_entry(monkeypatch, capsys, cpus):
+    """A suite that meets PrecisionUnreachable keeps its entries so far and ends
+    in one failed entry naming the error; the other suites still report, in
+    process and in workers, and ``check`` exits 1."""
+    error = "combination: certified error 2e-12 exceeds 1e-12"
+
+    def bare(name):
+        return lambda bound, precision: iter([{"instance": f"{name} {i}", "pass": True} for i in range(2)])
+
+    def stopping(bound, precision):
+        yield {"instance": "morphisms 0", "pass": True}
+        raise PrecisionUnreachable(error)
+
+    monkeypatch.setattr(suites, "_cpu_count", lambda: cpus)
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, bare(name))
+    monkeypatch.setitem(SUITES, "morphisms", stopping)
+    report = run_suite("all", 3, 1e-12)
+    failed = {
+        "suite": "morphisms",
+        "instance": f"suite stopped by PrecisionUnreachable: {error}",
+        "lhs": "error",
+        "rhs": "error",
+        "residual": 1.0,
+        "tolerance": 0.0,
+        "pass": False,
+    }
+    expected = []
+    for n in SUITES:
+        if n == "morphisms":
+            expected += [{"suite": n, "instance": "morphisms 0", "pass": True}, failed]
+        else:
+            expected += [{"suite": n, "instance": f"{n} {i}", "pass": True} for i in range(2)]
+    assert report == expected
+    assert cli.main(["check", "--suite", "all", "--weight-bound", "3", "--precision", "1e-12"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert f"[FAIL] morphisms: suite stopped by PrecisionUnreachable: {error}\n" in out and not err
+
+
+def test_morphisms_at_1e12_end_in_one_failed_entry():
+    """At 1e-12 a morphisms value cannot be certified: the suite reports what it
+    checked before it and one failed entry instead of raising."""
+    report = run_suite("morphisms", 6, 1e-12)
+    assert [e["pass"] for e in report] == [True] * (len(report) - 1) + [False]
+    assert report[-1]["instance"].startswith("suite stopped by PrecisionUnreachable: ")
 
 
 def test_family_counts_failures_and_names_the_first():

@@ -620,23 +620,25 @@ class TestCli:
         assert "error" in err
 
     def test_cap_override(self):
-        from arbozeta.zeta import clear_mzv_cache
-
-        clear_mzv_cache()
-        code, _, err = run_cli("eval", "--flavor", "stuffle", "2[1,1]", "--max-n", "8")
+        code, _, err = run_cli("polylog", "(3)", "--z", "0.5", "--max-n", "8")
         assert code == 3
-        assert "error" in err
+        assert "needs a horizon beyond 8" in err
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     @pytest.mark.parametrize("argv", [("eval", "2 2"), ("polylog", "(2)", "--z", "0.5")])
     def test_malformed_cap_is_refused(self, capsys, value, argv):
-        """argparse refuses a non-integer cap (exit 2); the evaluator refuses one below 1 (exit 3)."""
+        """argparse refuses a non-integer cap (exit 2); the evaluator refuses one below 1 (exit 3).
+
+        ``eval`` has no cap, so argparse refuses ``--max-n`` there whatever its value (exit 2).
+        """
         try:
             code = main([*argv, f"--max-n={value}"])
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        if value in ("0", "-3"):
+        if argv[0] == "eval":
+            assert code == 2 and f"unrecognized arguments: --max-n={value}" in err
+        elif value in ("0", "-3"):
             assert (code, err) == (3, f"error: summation cap must be positive, got {value}\n")
         else:
             assert code == 2 and f"argument --max-n: invalid int value: {value!r}" in err

@@ -102,28 +102,10 @@ class TestEvalMzv:
         assert abs(ev.value - duality) <= ev.abs_error <= 1e-11
 
     def test_precision_unreachable(self):
+        """The kernel's floor is about 1e-15 relative, so 1e-17 is refused."""
         clear_mzv_cache()
         with pytest.raises(PrecisionUnreachable):
-            eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
-
-    @pytest.mark.parametrize("default_first", [True, False])
-    def test_cache_respects_the_cap(self, default_first):
-        """A value cached at the default cap is not reused under a lower cap, in either order."""
-
-        def at_default_cap():
-            assert eval_mzv((2, 1, 1), "strict", 1e-9).abs_error <= 1e-9
-            assert azv(ladder((2, 1, 1)), "stuffle", 1e-9).abs_error <= 1e-9
-
-        def at_cap_8():
-            with pytest.raises(PrecisionUnreachable):
-                eval_mzv((2, 1, 1), "strict", 1e-9, max_n=8)
-            with pytest.raises(PrecisionUnreachable):
-                azv(ladder((2, 1, 1)), "stuffle", 1e-9, max_n=8)
-
-        clear_mzv_cache()
-        calls = (at_default_cap, at_cap_8) if default_first else (at_cap_8, at_default_cap)
-        for call in calls:
-            call()
+            eval_mzv((2, 1, 1), "strict", 1e-17)
 
     def test_cache_returns_finer(self):
         fine = eval_mzv((3, 2), "strict", 1e-12)
@@ -172,18 +154,24 @@ class TestFixedPointKernel:
 
     @pytest.mark.parametrize("weight", range(2, 9))
     def test_mzv_suffixes_at_half(self, weight):
-        cap = zeta.summation_cap(None)
         for s in compositions_of(weight, first_min=2):
-            n, _ = zeta._horizon(s, 0.5, MZV_TAIL, cap)
+            n, _ = zeta._horizon(s, 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)
             for u, gap, bound in _roundoff_gaps(s, 0.5, n):
                 assert -self.FLOOR <= gap <= bound, (s, u)
 
     @pytest.mark.parametrize("z", [0.25, 0.5, 0.9, 0.99])
     def test_polylogs(self, z):
         for s in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 1, 1), (3, 1, 2)]:
-            n, _ = zeta._horizon(s, z, 0.5e-10, zeta.summation_cap(None))
+            n, _ = zeta._horizon(s, z, 0.5e-10, zeta.DEFAULT_MAX_N)
             for u, gap, bound in _roundoff_gaps(s, z, n):
                 assert -self.FLOOR <= gap <= bound, (s, z, u)
+
+    def test_zeta_horizons_stay_far_below_the_cap(self):
+        """The deepest index of the weight bound, (2, 1^254), needs 1,024 terms and its dual (256) 64."""
+        deepest = (2,) + (1,) * (MAX_WEIGHT - 2)
+        assert zeta._horizon(deepest, 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)[0] == 1024
+        assert zeta._dual(deepest) == (MAX_WEIGHT,)
+        assert zeta._horizon((MAX_WEIGHT,), 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)[0] == 64
 
     def test_block_walk_floors_as_one_pass(self, monkeypatch):
         s, z, n = (3, 1, 2), 0.9, 200
@@ -433,7 +421,7 @@ class TestEvalCombination:
             comb = eval_combination(MzvCombination({s: 1}, flavor))
             assert (ev.value, ev.abs_error) == (comb.value, comb.abs_error)
             if s:
-                kernel = zeta._MZV_CACHE[(flavor, s, zeta.DEFAULT_MAX_N)]
+                kernel = zeta._MZV_CACHE[(flavor, s)]
                 assert (ev.value, ev.abs_error) == (kernel.value, kernel.abs_error)
 
 
