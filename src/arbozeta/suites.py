@@ -13,16 +13,15 @@ Each entry passes by what its values carry:
   when both sides are evaluated values; a product of two such values is
   bounded by |a| db + |b| da + da db + 2^-53 |ab| (``_product``), and a
   decimal constant read as a float by its rounding, 2^-53 |c| (``_decimal``).
-- within a hand-set tolerance, only where a side has no certified bound: a
-  closed form computed in floats (pi^2/6, ln 2), the power-series polylog
-  oracle, the worst gap of ``hoffman-words`` over its cases, and the
-  threshold claims of ``theorem5`` and ``hoffman-trees`` ("the gap exceeds
-  1e-6", "the defect is nonzero").  Certifying a float closed form or the
-  float oracle needs a rounding derivation of its own, a worst gap holds
-  every case to one tolerance, not each to its own bound, and a certified
-  threshold would loosen the claim.  These are the numeric families
-  (``_tally`` counts the failing cases, ``_worst_gap`` holds the worst gap)
-  and ``_numeric`` checks.
+  Every closed form (pi^2/6, ln 2, c zeta(n)) is such a constant, written
+  to at least 20 digits.  A numeric family (``_tally``) counts its cases
+  outside their own bounds: each ``hoffman-words`` combination within its
+  bound of 0, and the threshold claims of ``theorem5`` and ``hoffman-trees``
+  as a gap or defect beyond the sum of the bounds.
+
+One family is the exception: ``brute_polylog_forest``, the power-series
+polylog oracle, is a float sum with no derived bound, so its gaps are held
+to the requested precision.
 
 A family that fails names its first failing case in its instance text.
 """
@@ -158,18 +157,6 @@ def _tally(law, cases, fails, lhs=0.0, describe=_describe):
     return _entry(law + _first_failure(failing, describe), lhs, 0.0, float(len(failing)), 0.0)
 
 
-def _worst_gap(law, gaps, tolerance, describe=_describe):
-    """One report entry for a numeric family whose residual is its worst gap.
-
-    ``gaps`` maps each case to its gap; ``law`` is formatted with the worst
-    gap as ``worst``, and the instance text names the first case whose gap
-    exceeds ``tolerance`` through ``describe``.
-    """
-    worst = max(gaps.values(), default=0.0)
-    failing = [case for case, gap in gaps.items() if gap > tolerance]
-    return _entry(law.format(worst=worst) + _first_failure(failing, describe), worst, 0.0, worst, tolerance)
-
-
 def _pairs(items, size, limit):
     """Ordered pairs of ``items`` whose sizes sum to at most ``limit``.
 
@@ -206,10 +193,6 @@ def _graded(pair, lam, product, grade) -> bool:
     return all(grade(t) == want for t in product(*pair, lam))
 
 
-def _numeric(instance, lhs, rhs, tolerance):
-    return _entry(instance, lhs, rhs, abs(lhs - rhs), tolerance)
-
-
 def _exact(instance, failures: int):
     """One exact report entry: lhs and rhs read ``exact``, and the residual
     counts what fails (cases, or terms left over) against 0."""
@@ -218,7 +201,7 @@ def _exact(instance, failures: int):
 
 def _certified(instance, lhs: MzvEval, rhs: MzvEval):
     """One numeric entry held to the sum of its two sides' certified bounds."""
-    return _numeric(instance, lhs.value, rhs.value, lhs.abs_error + rhs.abs_error)
+    return _entry(instance, lhs.value, rhs.value, abs(lhs.value - rhs.value), lhs.abs_error + rhs.abs_error)
 
 
 def _product(a: MzvEval, b: MzvEval) -> MzvEval:
@@ -530,15 +513,15 @@ def suite_rota_baxter(bound: int, precision: float) -> Iterator[dict]:
 
 def suite_mzv_oracles(bound: int, precision: float) -> Iterator[dict]:
     z2 = eval_mzv((2,), "strict", precision)
-    yield _numeric("zeta(2) = pi^2/6", z2.value, math.pi**2 / 6, precision)
+    yield _certified("zeta(2) = pi^2/6", z2, _decimal(1.644934066848226436472))
     z4 = eval_mzv((4,), "strict", precision)
-    yield _numeric("zeta(4) = pi^4/90", z4.value, math.pi**4 / 90, precision)
+    yield _certified("zeta(4) = pi^4/90", z4, _decimal(1.082323233711138191516))
     z21 = eval_mzv((2, 1), "strict", precision)
     yield _certified("zeta(2,1) = zeta(3), Apery's constant", z21, _decimal(1.2020569031595942853997))
     z22 = eval_mzv((2, 2), "strict", precision)
-    yield _numeric("zeta(2,2) = pi^4/120", z22.value, math.pi**4 / 120, precision)
+    yield _certified("zeta(2,2) = pi^4/120", z22, _decimal(0.8117424252833536436370))
     ev = eval_combination(MzvCombination({(2, 2): 2, (4,): 1}), precision)
-    yield _numeric("2 zeta(2,2) + zeta(4) = pi^4/36", ev.value, math.pi**4 / 36, precision)
+    yield _certified("2 zeta(2,2) + zeta(4) = pi^4/36", ev, _decimal(2.705808084277845478790))
     star21 = eval_mzv((2, 1), "star", precision)
     yield _certified("zeta*(2,1) = 2 zeta(3)", star21, _decimal(2.4041138063191885707994))
 
@@ -636,42 +619,43 @@ def suite_associator_kernel(bound: int, precision: float) -> Iterator[dict]:
 
 
 def suite_theorem5(bound: int, precision: float) -> Iterator[dict]:
-    strict_gap = 1e-6
+    """The stuffle value of a tree minus the shuffle value of its binarisation:
+    never below minus the sum of their bounds, within it on ladders and beyond
+    it on branching trees."""
     trees = [
         tree
         for v in range(1, min(5, bound - 1) + 1)
         for tree in trees_with_vertices(v, (1, 2, 3))
         if tree.decoration >= 2
     ]
-    gaps = {
-        tree: azv(tree_forest(tree), "stuffle", precision / 4).value
-        - azv(binarise_forest(tree_forest(tree)), "shuffle", precision / 4).value
-        for tree in trees
-    }
+    gaps = {}
+    for tree in trees:
+        stuffle = azv(tree_forest(tree), "stuffle", precision)
+        shuffle = azv(binarise_forest(tree_forest(tree)), "shuffle", precision)
+        gaps[tree] = MzvEval(stuffle.value - shuffle.value, stuffle.abs_error + shuffle.abs_error)
     ladders = [tree for tree in trees if tree.is_ladder()]
     branching = [tree for tree in trees if not tree.is_ladder()]
-    worst_ladder = max((abs(gaps[tree]) for tree in ladders), default=0.0)
-    min_branch_gap = min((gaps[tree] for tree in branching), default=float("inf"))
+    worst_ladder = max((abs(gaps[tree].value) for tree in ladders), default=0.0)
+    min_branch_gap = min((gaps[tree].value for tree in branching), default=float("inf"))
     yield _tally(
         f"shuffle side never exceeds stuffle side [{len(trees)} trees]",
         trees,
-        lambda tree: gaps[tree] < -precision,
+        lambda tree: gaps[tree].value < -gaps[tree].abs_error,
     )
     yield _tally(
         f"equality on ladder trees (worst |gap| = {worst_ladder:.3g})",
         ladders,
-        lambda tree: abs(gaps[tree]) > precision,
+        lambda tree: abs(gaps[tree].value) > gaps[tree].abs_error,
         worst_ladder,
     )
     yield _tally(
-        f"strict gap > {strict_gap:g} for branching trees (smallest gap = {min_branch_gap:.3g})",
+        f"strict gap beyond the certified bounds for branching trees (smallest gap = {min_branch_gap:.3g})",
         branching,
-        lambda tree: gaps[tree] <= strict_gap,
+        lambda tree: gaps[tree].value <= gaps[tree].abs_error,
     )
 
 
 def suite_hoffman_words(bound: int, precision: float) -> Iterator[dict]:
-    tol = max(precision * 10, 1e-7)
     one = Word((1,))
     y = Word(("y",))
     differences = {
@@ -683,8 +667,8 @@ def suite_hoffman_words(bound: int, precision: float) -> Iterator[dict]:
     def convergent(comp):
         return all(is_convergent_word(t) for t in differences[comp])
 
-    residuals = {
-        comp: abs(eval_words(difference, "strict", precision).value)
+    values = {
+        comp: eval_words(difference, "strict", precision)
         for comp, difference in differences.items()
         if convergent(comp)
     }
@@ -693,11 +677,12 @@ def suite_hoffman_words(bound: int, precision: float) -> Iterator[dict]:
         differences,
         convergent,
     )
-    yield _worst_gap(
-        "regularisation combination lies in the shuffle kernel"
-        f" [worst residual {{worst:.3g}} over {len(differences)}]",
-        residuals,
-        tol,
+    worst = max((abs(ev.value) for ev in values.values()), default=0.0)
+    yield _tally(
+        f"regularisation combination lies in the shuffle kernel [worst residual {worst:.3g} over {len(differences)}]",
+        values,
+        lambda comp: abs(values[comp].value) > values[comp].abs_error,
+        worst,
     )
 
 
@@ -763,11 +748,11 @@ def suite_hoffman_trees(bound: int, precision: float) -> Iterator[dict]:
     defect = eval_combination(reduction, precision)
     minus_z23 = eval_combination(MzvCombination({(2, 3): -1}), precision)
     yield _certified("defect of the naive relation on 2[1,1] equals -zeta(2,3)", defect, minus_z23)
-    yield _numeric(
+    yield _tally(
         "defect is nonzero (Hoffman does not lift naively to trees)",
-        min(abs(defect.value), 1.0),
-        1.0,
-        0.5,
+        [defect],
+        lambda ev: abs(ev.value) <= ev.abs_error,
+        abs(defect.value),
     )
 
 
@@ -911,18 +896,17 @@ def brute_polylog_forest(forest: Forest, z: float) -> float:
 
 def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
     z = 0.5
-    ln2 = math.log(2.0)
-    ev = eval_polylog((1,), z, precision)
-    yield _numeric("Li_(1)(1/2) = ln 2", ev.value, ln2, precision)
-    ev = eval_polylog((1, 1), z, precision)
-    yield _numeric("Li_(1,1)(1/2) = ln^2(2)/2", ev.value, ln2**2 / 2, precision)
-    ev = eval_polylog((2,), z, precision)
-    yield _numeric("Li_(2)(1/2) partial-sum oracle", ev.value, 0.5822405264650125, precision)
+    ln2 = _decimal(0.6931471805599453094172)
+    half_ln2_squared = _decimal(0.2402265069591007123336)
+    yield _certified("Li_(1)(1/2) = ln 2", eval_polylog((1,), z, precision), ln2)
+    yield _certified("Li_(1,1)(1/2) = ln^2(2)/2", eval_polylog((1, 1), z, precision), half_ln2_squared)
+    li2 = _decimal(0.5822405264650125059027)  # pi^2/12 - ln^2(2)/2
+    yield _certified("Li_(2)(1/2) partial-sum oracle", eval_polylog((2,), z, precision), li2)
 
     ev = eval_arborified_polylog(tree_forest(leaf("y")), z, precision)
-    yield _numeric("arborified Li of a single y-vertex = ln 2", ev.value, ln2, precision)
+    yield _certified("arborified Li of a single y-vertex = ln 2", ev, ln2)
     ev = eval_arborified_polylog(tree_forest(b_plus("y", tree_forest(leaf("y")))), z, precision)
-    yield _numeric("arborified Li of the y-ladder = ln^2(2)/2", ev.value, ln2**2 / 2, precision)
+    yield _certified("arborified Li of the y-ladder = ln^2(2)/2", ev, half_ln2_squared)
 
     max_vertices = min(4, bound - 2)
     gaps = {
@@ -930,10 +914,12 @@ def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
         for forest in forests_up_to(max_vertices, ("x", "y"), include_empty=False)
         if convergence_class(forest, Alphabet.XY).is_semiconvergent
     }
-    yield _worst_gap(
-        f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {{worst:.3g}}]",
+    worst = max(gaps.values(), default=0.0)
+    yield _tally(
+        f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {worst:.3g}]",
         gaps,
-        precision,
+        lambda forest: gaps[forest] > precision,
+        worst,
     )
 
     rng = random.Random(RNG_SEED + 2)
@@ -946,12 +932,21 @@ def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
 
 
 def suite_star_reduction(bound: int, precision: float) -> Iterator[dict]:
-    for comp in [(2,), (2, 1), (2, 1, 1), (3, 2), (2, 2, 1)]:
+    # Star values against closed forms c zeta(n) as decimal literals:
+    # zeta*(2,1^k) = (k+1) zeta(k+2), zeta*({2}^n) = 2 (1 - 2^(1-2n)) zeta(2n)
+    # and zeta*(3,1) = zeta(3,1) + zeta(4) = 5/4 zeta(4).
+    closed_forms = [
+        ((2, 1, 1), "3 zeta(4)", 3.246969701133414574548),
+        ((3, 1), "5/4 zeta(4)", 1.352904042138922739395),
+        ((2, 2), "7/4 zeta(4)", 1.894065658994491835153),
+        ((2, 1, 1, 1), "4 zeta(5)", 4.147711020573479705325),
+        ((2, 2, 2), "31/16 zeta(6)", 1.971102182594870208197),
+    ]
+    for comp, form, value in closed_forms:
         if sum(comp) > bound + 2:
             continue
-        direct = eval_mzv(comp, "star", precision)
-        merged = eval_combination(star_to_strict(comp), precision)
-        yield _certified(f"zeta*{comp} = sum of adjacent-part merges", direct, merged)
+        text = ",".join(map(str, comp))
+        yield _certified(f"zeta*({text}) = {form}", eval_mzv(comp, "star", precision), _decimal(value))
     want = MzvCombination({(2, 1, 1): 1, (3, 1): 1, (2, 2): 1, (4,): 1})
     yield _family(
         "merge expansion of (2,1,1)",

@@ -320,15 +320,6 @@ def basis_to_json(basis):
     return {"letters": list(basis.letters)}
 
 
-def tree_from_json(data: dict) -> Tree:
-    return Tree(data["d"], tuple(tree_from_json(c) for c in data.get("c", [])))
-
-
-def forest_from_json(data: list) -> Forest:
-    """Inverse of ``forest_to_json``; the JSON round-trip test uses it to show that format is lossless."""
-    return Forest(tuple(tree_from_json(t) for t in data))
-
-
 def dumps(data) -> str:
     import json
 

@@ -42,16 +42,32 @@ below its true value by less than a bound E counted in ulps (units of
   the error before it times z and adds less than 1 + z^(m-1) ulps, and
   at z = 1/2 every power is an exact shift;
 - one level S_(p, v)(m) = floor(sum_{m' < m} T_p(m') S_v(m') / X) has
-  E <= 1 + sum_{m'<m} (m'^-p E_v + S_v(m')): one cumulative-sum level scales
-  the earlier error E_v by at most sum m^-p <= L = 1 + ln N, and the table
-  floors add at most N L^d for S_v <= L^d, d = len(v).  By induction
-  E_v <= d (N + 1) L^(d-1).
+  E <= 1 + sum_{m'<m} (m'^-p E_v(m') + S_v(m')).
+
+Let L = 1 + ln N >= H_N, the harmonic number.  A strict nested sum of d
+levels over m_i < m, with every exponent >= 1, is at most the elementary
+symmetric function e_d(1, 1/2, ..., 1/(m-1)) <= H_(m-1)^d / d!, so
+S_v(m) <= L^d / d! for d = len(v), and the level at depth j adds
+F_j <= 1 + N L^(j-1) / (j-1)! ulps of its own.  That error is itself carried
+through every level above it as the weight of a nested sum, so by depth k it
+is at most F_j L^(k-j) / (k-j)!.
 
 The value of u = (r, v), k = len(u), is sum_m Z_m T_r(m) S_v(m) / X^3, one
 correctly rounded int-to-float division.  Before that division it lies below
-the truncated series by at most (2/(1 - z) L^k + N L^(k-1) + L E_v) 2^-P
-<= (k + 2/(1 - z)) (N + 1) L^k 2^-P, which is :func:`_roundoff`.  At the MZV
-horizons (N = 64 or 128, weight <= 14) that is below 1e-25.
+the truncated series by at most
+
+    2/(1 - z) L^k/k!                        from the powers,
+  + N L^(k-1)/(k-1)!                        from the tables of r,
+  + sum_(j<k) F_j L^(k-j)/(k-j)!            from the levels,
+
+ulps, and the last sum is at most N (2L)^(k-1)/(k-1)! + e N, by the
+binomial theorem and sum_i L^i/i! <= e^L = e N.  That is
+:func:`_roundoffs`, built by running products over k.  Whatever the depth,
+each of the three quotients is at most e^(2L) = e^2 N^2, so the bound does
+not grow like L^k: at N = 1,024 it stays below 1e-29 at every depth up to
+the weight bound.  An earlier derivation bounded S_v by L^d and gave
+(k + 2/(1 - z)) (N + 1) L^k 2^-P, which is smaller only at horizons below 8;
+both are valid, and the kernel takes the smaller.
 """
 from __future__ import annotations
 
@@ -203,15 +219,29 @@ def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, list
         if n >= cap:
             raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
         n = min(2 * n, cap)
-    return n, [tail_bound + _roundoff(depth, z, n) for depth in range(len(s) + 1)]
+    return n, [tail_bound + roundoff for roundoff in _roundoffs(len(s), z, n)]
 
 
-def _roundoff(depth: int, z: float, n: int) -> float:
-    """Bound on the fixed-point error of one truncated Li_u(z), len(u) = ``depth`` (module docstring)."""
-    try:
-        return (depth + 2.0 / (1.0 - z)) * (n + 1) * (1.0 + math.log(n)) ** depth * 2.0**-P
-    except OverflowError:
-        return math.inf
+def _roundoffs(depth: int, z: float, n: int) -> list[float]:
+    """Bounds on the fixed-point error of one truncated Li_u(z), len(u) = 0..``depth`` (module docstring).
+
+    Each is the smaller of the depth-free bound and the earlier (k + 2/(1 - z)) (N + 1) L^k,
+    both from running products over k: no power or factorial is formed, and a
+    product past the float range is inf, not an OverflowError.
+    """
+    log = 1.0 + math.log(n)
+    powers = 2.0 / (1.0 - z)
+    nested = 1.0  # L^k / k!
+    tables = carried = 0.0  # L^(k-1) / (k-1)! and (2L)^(k-1) / (k-1)!, none at k = 0
+    earlier = float(n + 1)  # (N + 1) L^k
+    out = []
+    for k in range(depth + 1):
+        bound = powers * nested + n * (tables + carried) + math.e * n
+        out.append(min(bound, (k + powers) * earlier) * 2.0**-P)
+        tables, carried = nested, (carried * 2.0 * log / k if k else 1.0)
+        nested *= log / (k + 1)
+        earlier *= log
+    return out
 
 
 def _suffixes(s: Composition) -> list[Composition]:

@@ -184,7 +184,7 @@ NUMERIC_FAMILIES_AT_6 = [
     ("reduction-vs-series", r"star: nested summation at N=2000 within its tail bound \[326 forests\]"),
     ("theorem5", r"shuffle side never exceeds stuffle side \[1192 trees\]"),
     ("theorem5", r"equality on ladder trees \(worst \|gap\| = \S+\)"),
-    ("theorem5", r"strict gap > 1e-06 for branching trees \(smallest gap = \S+\)"),
+    ("theorem5", r"strict gap beyond the certified bounds for branching trees \(smallest gap = \S+\)"),
     ("hoffman-words", r"regularisation combination lies in the shuffle kernel \[worst residual \S+ over 31\]"),
     ("polylog", r"arborified polylog matches the power-series oracle \[36 forests, worst \S+\]"),
 ]
@@ -328,10 +328,10 @@ def test_criterion_8_evaluator_accuracy():
         ("zeta(2)", eval_mzv((2,), "strict", PRECISION).value, math.pi**2 / 6, 1e-8),
         ("zeta(4)", eval_mzv((4,), "strict", PRECISION).value, math.pi**4 / 90, 1e-8),
         (
-            "zeta(2,1) vs zeta(3)",
+            "zeta(2,1) vs Apery's constant",
             eval_mzv((2, 1), "strict", PRECISION).value,
-            eval_mzv((3,), "strict", PRECISION).value,
-            2e-8,
+            1.2020569031595942853997,
+            1e-8,
         ),
         ("zeta(2,2)", eval_mzv((2, 2), "strict", PRECISION).value, math.pi**4 / 120, 1e-8),
     ]

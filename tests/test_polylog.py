@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from arbozeta.catalog import forests_up_to
@@ -49,9 +50,17 @@ class TestPolylog:
             eval_polylog((2,), -0.1)
 
     def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel):
-        """(1^256) at z = 0.99: the roundoff bound alone is near 1e246."""
-        with pytest.raises(PrecisionUnreachable, match="certified error 1.11689e[+]246 exceeds 1e-08"):
-            eval_polylog((1,) * 256, 0.99)
+        """(1^256) at z = 0.99 needs 65,536 terms; capped at 32,768 its tail bound is out of reach."""
+        with pytest.raises(PrecisionUnreachable, match="at z=0.99 needs a horizon beyond 32768$"):
+            eval_polylog((1,) * 256, 0.99, max_n=32768)
+
+    @pytest.mark.parametrize("k", [10, 30, 100])
+    def test_deep_ones_within_their_bound_of_the_closed_form(self, k):
+        """Li_(1^k)(z) = (-ln(1 - z))^k / k!.  The roundoff bound does not grow
+        with depth, so deep indexes near z = 1 are certified, not refused."""
+        ev = eval_polylog((1,) * k, 0.99)
+        want = (-mp.log(1 - mp.mpf(0.99))) ** k / mp.factorial(k)
+        assert abs(mp.mpf(ev.value) - want) <= ev.abs_error <= 1e-8
 
     def test_star_parts_are_refused_before_the_kernel(self, no_kernel):
         """(2, 1^12) has 13 parts, within the bound, and (2, 1^13) has 14: the
@@ -104,11 +113,18 @@ class TestArborifiedPolylog:
         # ln 2, ln^2(2)/2, Li_2(1/2) = pi^2/12 - ln^2(2)/2 and ln^2(2)
         assert abs(brute_polylog_forest(forest, 0.5) - want) <= 1e-15
 
-    @pytest.mark.parametrize("vertices,error", [(30, "0.00572193"), (100, "1.38227e[+]74")], ids=["30", "100"])
-    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel, vertices, error):
-        """The y-ladder of n vertices flattens to the one word (1^n)."""
-        with pytest.raises(PrecisionUnreachable, match=f"certified error {error} exceeds 1e-08"):
-            eval_arborified_polylog(ladder("y" * vertices), 0.99)
+    @pytest.mark.parametrize("vertices,cap", [(30, 4096), (100, 16384)], ids=["30", "100"])
+    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel, vertices, cap):
+        """The y-ladder of n vertices flattens to the one word (1^n), which at
+        z = 0.99 needs 8,192 terms for n = 30 and 32,768 for n = 100."""
+        with pytest.raises(PrecisionUnreachable, match=f"at z=0.99 needs a horizon beyond {cap}$"):
+            eval_arborified_polylog(ladder("y" * vertices), 0.99, max_n=cap)
+
+    def test_deep_ladder_within_its_bound_of_the_closed_form(self):
+        """The y-ladder of 100 vertices at z = 0.99 is Li_(1^100)(0.99) = (-ln 0.01)^100 / 100!."""
+        ev = eval_arborified_polylog(ladder("y" * 100), 0.99)
+        want = (-mp.log(1 - mp.mpf(0.99))) ** 100 / mp.factorial(100)
+        assert abs(mp.mpf(ev.value) - want) <= ev.abs_error <= 1e-8
 
     @pytest.mark.parametrize("leaves", [171, 256])
     def test_coefficients_past_the_float_range_are_refused_before_the_kernel(self, no_kernel, leaves):

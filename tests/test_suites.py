@@ -18,7 +18,6 @@ from arbozeta.suites import (
     _tally,
     _unnormalized_associator,
     _with_lambda,
-    _worst_gap,
     run_suite,
 )
 from arbozeta.lincomb import LinComb
@@ -276,6 +275,49 @@ def test_morphisms_fail_on_an_error_of_1e9_in_every_arborified_value(monkeypatch
     assert sum(not entry["pass"] for entry in entries) >= 60
 
 
+def _shifted(evaluate, by=1e-12):
+    """``evaluate`` with ``by`` added to every value it returns, bounds kept."""
+
+    def off(*args):
+        ev = evaluate(*args)
+        return MzvEval(ev.value + by, ev.abs_error)
+
+    return off
+
+
+def test_closed_forms_fail_on_an_error_of_1e12_in_every_value(monkeypatch):
+    """Each closed form is a decimal literal held to the certified bounds, not
+    to the precision, so 1e-12 added to every value the suites evaluate fails
+    all of them at precision 1e-8."""
+    for name in ("eval_mzv", "eval_combination", "eval_polylog", "eval_arborified_polylog"):
+        monkeypatch.setattr(suites, name, _shifted(getattr(suites, name)))
+    for name, closed_forms in (("mzv-oracles", 6), ("star-reduction", 5), ("polylog", 5)):
+        entries = run_suite(name, 6, 1e-8)[:closed_forms]
+        assert all(isinstance(e["rhs"], float) for e in entries), name
+        assert not any(e["pass"] for e in entries), [e["instance"] for e in entries if e["pass"]]
+
+
+def test_thresholds_fail_on_an_error_of_1e12(monkeypatch):
+    """Each hoffman-words case is held to its own bound, and theorem5's ladder
+    equality to the sum of its two sides' bounds."""
+    monkeypatch.setattr(suites, "eval_combination", _shifted(suites.eval_combination))
+    kernel = run_suite("hoffman-words", 6, 1e-8)[1]
+    assert kernel["instance"].startswith("regularisation combination lies in the shuffle kernel")
+    assert kernel["residual"] == 31.0 and not kernel["pass"]
+
+    azv = suites.azv
+
+    def stuffle_off(forest, flavor, precision):
+        ev = azv(forest, flavor, precision)
+        return MzvEval(ev.value + 1e-12, ev.abs_error) if flavor == "stuffle" else ev
+
+    monkeypatch.setattr(suites, "azv", stuffle_off)
+    never, ladders, branching = run_suite("theorem5", 4, 1e-8)
+    assert never["pass"] and branching["pass"]
+    assert ladders["instance"].startswith("equality on ladder trees (worst |gap| = 1e-12)")
+    assert not ladders["pass"]
+
+
 def test_tally_counts_failures_and_names_the_first():
     described = []
 
@@ -294,29 +336,6 @@ def test_tally_counts_failures_and_names_the_first():
     assert passing["instance"] == "odd numbers fail"
     assert (passing["lhs"], passing["residual"], passing["pass"]) == (0.0, 0.0, True)
     assert described == [5]
-
-
-def test_worst_gap_reports_the_worst_and_names_the_first_beyond_tolerance():
-    described = []
-
-    def describe(case):
-        described.append(case)
-        return f"case {case}"
-
-    gaps = {"a": 0.1, "b": 0.7, "c": 0.3, "d": 0.9}
-    entry = _worst_gap("gaps [worst {worst:.2g}]", gaps, 0.5, describe)
-    assert entry["instance"] == "gaps [worst 0.9]; first failure: case b"
-    assert (entry["lhs"], entry["rhs"], entry["residual"], entry["tolerance"]) == (0.9, 0.0, 0.9, 0.5)
-    assert entry["pass"] is False
-    assert described == ["b"]
-
-    passing = _worst_gap("gaps [worst {worst:.2g}]", {"a": 0.1, "c": 0.5}, 0.5, describe)
-    assert passing["instance"] == "gaps [worst 0.5]"
-    assert (passing["residual"], passing["pass"]) == (0.5, True)
-    empty = _worst_gap("gaps [worst {worst:.2g}]", {}, 0.5, describe)
-    assert empty["instance"] == "gaps [worst 0]"
-    assert (empty["residual"], empty["pass"]) == (0.0, True)
-    assert described == ["b"]
 
 
 def test_witness_text_of_words_forests_and_lambda():

@@ -134,10 +134,15 @@ class TestGrammar:
         )
         assert syntax.parse_lincomb(syntax.format_lincomb(comb)) == comb
 
-    def test_json_roundtrip(self):
-        forest = tree_forest(b_plus(2, tree_forest(leaf(1), leaf(3))))
-        data = syntax.forest_to_json(forest)
-        assert syntax.forest_from_json(data) == forest
+    def test_forest_json(self):
+        """The JSON of a forest keeps every decoration and repeated tree, in the canonical order."""
+        inner = b_plus(2, tree_forest(leaf(3), leaf(1)))
+        forest = Forest((leaf(5), inner, b_plus(4, tree_forest(inner, inner)), inner))
+        two = {"d": 2, "c": [{"d": 1, "c": []}, {"d": 3, "c": []}]}
+        assert syntax.forest_to_json(forest) == [two, two, {"d": 4, "c": [two, two]}, {"d": 5, "c": []}]
+        assert syntax.forest_to_json(tree_forest(b_plus("x", tree_forest(leaf("y"))))) == [
+            {"d": "x", "c": [{"d": "y", "c": []}]}
+        ]
 
 
 # (text, value) of parse_expression, with the values of the last release of the
@@ -735,13 +740,22 @@ class TestWeightBound:
         assert run_cli("shuffle-words", longer, "()", "--lambda", "1") == (0, longer + "\n", "")
 
     def test_unreachable_precision_at_the_bound(self):
-        code, _, err = run_cli("eval", f"{MAX_WEIGHT}")
+        code, _, err = run_cli("eval", f"{MAX_WEIGHT}", "--precision", "1e-15")
         assert code == 3 and "certified error" in err
+
+    @pytest.mark.parametrize("part, value", [(34, "1.0000000001"), (MAX_WEIGHT, "1.0000000000")])
+    def test_single_parts_are_certified_up_to_the_bound(self, part, value):
+        """zeta(n) pairs (n) with its dual (2, 1^(n-2)); the roundoff bound of
+        that deep factor does not grow with its depth."""
+        code, out, err = run_cli("eval", f"{part}")
+        assert (code, err) == (0, "") and out.startswith(value + " ± ")
 
 
 # Each was refused only after the work: a star index expanded into all its
 # 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran,
 # for a word and for the 100-vertex y-ladder, which flattens to the same word.
+# Those polylogs are certified now; capped below the horizons they need
+# (65,536 and 32,768 terms), they are refused before the kernel runs.
 # The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
 # past the float range, ended in an OverflowError, and the shuffle of 1,000
 # letters with one more in a RecursionError.  The stuffle of 1^128 with itself
@@ -749,9 +763,9 @@ class TestWeightBound:
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
-    (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99"], "certified error 1.11689e+246 exceeds"),
-    (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99"], "certified error"),
-    (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99"], "arborified polylog at z=0.99: certified error"),
+    (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99", "--max-n", "32768"], "needs a horizon beyond 32768"),
+    (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99", "--max-n", "16384"], "needs a horizon beyond 16384"),
+    (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99", "--max-n", "16384"], "needs a horizon beyond 16384"),
     (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
     (["shuffle-words", "(" + ",".join(["1"] * 1000) + ")", "(2)"], "shuffle of words of 1001 letters is above the length bound 256"),
     (

@@ -140,7 +140,7 @@ def _roundoff_gaps(s, z, n):
     with mp.workdps(50):
         for u, fixed in zeta._fixed_polylogs(s, z, n).items():
             exact = mp.fsum(map(mp.fmul, _exact_weights(u[0], z, n), _exact_level(u[1:], n)))
-            yield u, exact - mp.mpf(fixed) / mp.mpf(2) ** (3 * zeta.P), zeta._roundoff(len(u), z, n)
+            yield u, exact - mp.mpf(fixed) / mp.mpf(2) ** (3 * zeta.P), zeta._roundoffs(len(u), z, n)[-1]
 
 
 class TestFixedPointKernel:
@@ -183,10 +183,40 @@ class TestFixedPointKernel:
         assert not (zeta._TABLES or zeta._ZPOWERS or zeta._WEIGHTS or zeta._LEVELS)
         clear_mzv_cache()
 
-    def test_bounds_past_float_range_are_infinite(self):
-        # (1 + ln 64)^1000 and the tail majorant of (1, 1^1598) at n = 1024 both overflow a float.
-        assert zeta._roundoff(1000, 0.5, 64) == math.inf
+    def test_tail_bound_past_float_range_is_infinite(self):
+        # The tail majorant of (1, 1^1598) at n = 1024 overflows a float.
         assert zeta._tail_bound((1,) * 1598, 0.5, 1024) == math.inf
+
+    @pytest.mark.parametrize("z", [0.5, 0.9])
+    def test_roundoff_against_exact_fractions(self, z):
+        """At N = 64 and depth <= 12 each fixed-point sum lies below the exact
+        truncated sum, computed in Fractions, by less than its roundoff bound."""
+        n, x = 64, Fraction(z)
+        for s in [(2,) + (1,) * 11, (3, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1), (2, 2, 2, 2, 2, 2)]:
+            bounds = zeta._roundoffs(len(s), z, n)
+            for u, fixed in zeta._fixed_polylogs(s, z, n).items():
+                level = [Fraction(1)] * n  # S_v(m), m = 1..n, innermost first
+                for part in reversed(u[1:]):
+                    level = list(accumulate((t / m**part for m, t in enumerate(level, 1)), initial=Fraction(0)))[:n]
+                exact = sum(x**m / m ** u[0] * t for m, t in enumerate(level, 1))
+                gap = exact - Fraction(fixed, 2 ** (3 * zeta.P))
+                assert 0 <= gap <= Fraction(bounds[len(u)]), (s, u)
+
+    def test_roundoff_bound_never_grows(self):
+        """The depth-free bound is never above the earlier (k + 2/(1 - z)) (N + 1) L^k 2^-P,
+        at every depth up to the weight bound and every horizon 2^j up to 2^24."""
+        for z in (0.25, 0.5, 0.9, 0.99):
+            for n in [2**j for j in range(25)]:
+                for k, bound in enumerate(zeta._roundoffs(MAX_WEIGHT, z, n)):
+                    try:
+                        earlier = (k + 2 / (1 - z)) * (n + 1) * (1 + math.log(n)) ** k * 2.0**-zeta.P
+                    except OverflowError:
+                        earlier = math.inf
+                    assert bound <= earlier, (z, n, k)
+
+    def test_roundoff_stays_small_at_every_depth(self):
+        """At the deepest zeta horizon, N = 1,024, no depth up to the weight bound needs more than 1e-29."""
+        assert max(zeta._roundoffs(MAX_WEIGHT, 0.5, 1024)) < 1e-29
 
     def test_clear_empties_kernel_memos(self):
         eval_mzv((3, 1, 2), "star", 1e-10)
@@ -218,6 +248,13 @@ class TestIndependentOracles:
     def test_two_then_ones(self, k):
         ev = eval_mzv((2,) + (1,) * k, "strict", 1e-12)
         assert abs(mp.mpf(ev.value) - mp.zeta(k + 2)) <= ev.abs_error <= 1e-12
+
+    def test_every_single_part_within_its_bound(self):
+        """zeta(n) for every n up to the weight bound, against mpmath: the Hölder
+        convolution pairs (n) with its dual (2, 1^(n-2)), of n - 1 parts."""
+        for n in range(2, MAX_WEIGHT + 1):
+            ev = eval_mzv((n,), "strict", 1e-12)
+            assert abs(mp.mpf(ev.value) - mp.zeta(n)) <= ev.abs_error, n
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_three_one_strings(self, k):
