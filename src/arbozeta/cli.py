@@ -9,10 +9,10 @@ word or a tree to binarise of weight above ``words.MAX_WEIGHT`` (256), a
 all, and a star value of an index with more than ``words.MAX_STAR_PARTS``
 (13) parts are domain errors, raised before any work.  A product whose memos
 would store more than ``words.MAX_TERMS`` (1,000,000) terms in one call is a
-domain error too, raised while it works.  ``polylog --max-n`` caps the
-polylog horizon; ``eval`` has no cap, because a zeta value needs at most
-1,024 terms.  Every verb but ``check`` computes one value, which
-``syntax.render`` prints as text or JSON.
+domain error too, raised while it works.  So are a polylog that needs more
+than ``zeta.MAX_N`` (10^7) terms and a ``check --weight-bound`` above
+``suites.MAX_WEIGHT_BOUND`` (8), raised before any work.  Every verb but
+``check`` computes one value, which ``syntax.render`` prints as text or JSON.
 """
 from __future__ import annotations
 
@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--precision", type=float, default=1e-8)
-    p.add_argument("--max-n", type=int, default=None,
-                   help="cap on the polylog horizon, the power-series terms per polylogarithm (default: 10^7)")
 
     p = add("associator", help="associator of three forests for the tree shuffle")
     p.add_argument("first")
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check", help="run identity suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--weight-bound", type=int, default=6)
+    p.add_argument("--weight-bound", type=int, default=6, help="largest weight checked, 1 to 8 (default: 6)")
     p.add_argument("--precision", type=float, default=1e-8)
 
     return parser
@@ -155,8 +153,8 @@ def _polylog(a):
 
     expr = syntax.parse_expression(a.expr)
     if isinstance(expr, Word):
-        return eval_polylog(expr.letters, a.z, a.precision, a.max_n)
-    return eval_arborified_polylog(_to_comb(expr, Forest), a.z, a.precision, a.max_n)
+        return eval_polylog(expr.letters, a.z, a.precision)
+    return eval_arborified_polylog(_to_comb(expr, Forest), a.z, a.precision)
 
 
 def _single_forest(text: str) -> Forest:

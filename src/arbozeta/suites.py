@@ -99,6 +99,8 @@ from .zeta import (
 )
 
 RNG_SEED = 0x5EED
+# The largest weight bound that run_suite accepts; bound 9 takes a minute and 750 MB.
+MAX_WEIGHT_BOUND = 8
 
 LAMBDAS = (-1, 0, 1)
 
@@ -1001,8 +1003,8 @@ def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
     order.  The suites share no state: each seeds its own generator, and
     their memo caches save nothing across suites.
     """
-    if bound < 1:
-        raise DomainError(f"weight bound must be at least 1, got {bound}")
+    if not 1 <= bound <= MAX_WEIGHT_BOUND:
+        raise DomainError(f"weight bound must be from 1 to {MAX_WEIGHT_BOUND}, got {bound}")
     if name == "all":
         workers = min(len(SUITES), _cpu_count())
         if workers < 2 or not hasattr(os, "fork"):

@@ -23,13 +23,14 @@ float arithmetic that combines the factors.
 The polylog evaluators work in one order: plan, refuse, kernel, combine.  A
 plan is the pair that :func:`_horizon` returns, a horizon and the
 tail-plus-roundoff bound of each suffix depth.  All plans of a call are made
-before any kernel runs, so a horizon past the cap, or a bound that the plans
-already put above the precision, is refused first; then the kernel runs once
-per index and :func:`_combine` sums the terms.  Zeta values need no plan
-phase: at z = 1/2 every index up to the weight bound meets ``MZV_TAIL``
-within 64 to 1,024 terms, far below the cap, so :func:`_holder` plans its two
-factors as it runs.  Only a star index of too many parts must be refused
-before any kernel, and :func:`eval_combination` does that first.
+before any kernel runs, so a horizon past the fixed cap ``MAX_N``, or a
+bound that the plans already put above the precision, is refused first; then
+the kernel runs once per index and :func:`_combine` sums the terms.  Zeta
+values need no plan phase: at z = 1/2 every index up to the weight bound
+meets ``MZV_TAIL`` within 64 to 256 terms, far below ``MAX_N``, so
+:func:`_holder` plans its two factors as it runs.  Only a star index of too
+many parts must be refused before any kernel, and :func:`eval_combination`
+does that first.
 
 Roundoff of the fixed-point kernel.  With X = 2^P (P = 128) the kernel holds
 floor(X z^m), floor(X / m^r) and the strict inner sums S_v(m) =
@@ -65,9 +66,14 @@ binomial theorem and sum_i L^i/i! <= e^L = e N.  That is
 :func:`_roundoffs`, built by running products over k.  Whatever the depth,
 each of the three quotients is at most e^(2L) = e^2 N^2, so the bound does
 not grow like L^k: at N = 1,024 it stays below 1e-29 at every depth up to
-the weight bound.  An earlier derivation bounded S_v by L^d and gave
-(k + 2/(1 - z)) (N + 1) L^k 2^-P, which is smaller only at horizons below 8;
-both are valid, and the kernel takes the smaller.
+the weight bound.
+
+Tail of the series.  Of the inner parts v of u = (r, v), let ``ones`` equal 1.
+An index tuple of S_v(m) is fixed by its entries at the parts p >= 2 and at
+the ones, which are ``ones`` distinct integers below m, so by the lemma above
+S_v(m) <= prod_(p >= 2) p/(p - 1) * e_ones(1, ..., 1/(m-1)), at most that
+product times (1 + ln m)^ones / ones!: :func:`_tail_bound`'s majorant, whose
+factor ones! leaves the ratio of its successive terms unchanged.
 """
 from __future__ import annotations
 
@@ -85,12 +91,12 @@ from .errors import (
 )
 from .lincomb import Coeff, LinComb, _as_comb
 from .trees import Alphabet, Forest, _Record, _set
-from .words import MAX_STAR_PARTS, Word, binarise, check_weight, debinarise
+from .words import MAX_STAR_PARTS, Word, check_weight, debinarise
 
 Composition = tuple[int, ...]
 
 DEFAULT_PRECISION = 1e-8
-DEFAULT_MAX_N = 10**7
+MAX_N = 10**7  # the longest polylog horizon
 FIRST_N = 64  # first polylog horizon tried; the horizon doubles from here
 MZV_TAIL = 2.0**-64  # series tail allowed in each Hölder factor
 
@@ -184,10 +190,10 @@ def _gamma(m: int, u: float) -> float:
 def _tail_bound(inner: Composition, z: float, n: int) -> float:
     """Bound on sum_{m > n} z^m A(m) / m, A the strict nested sum over ``inner``.
 
-    A(m) is at most the product over inner parts p of zeta(p) <= p/(p-1) for
-    p >= 2 and of H_(m-1) <= 1 + ln m for p = 1.  From m = n+1 on the terms of
-    that majorant shrink at least by ``ratio``, so a geometric series bounds
-    the tail.
+    A(m) is at most the product over inner parts p >= 2 of zeta(p) <= p/(p-1)
+    times (1 + ln m)^ones / ones!, for the ``ones`` parts equal to 1 (module
+    docstring).  From m = n+1 on the terms of that majorant shrink at least
+    by ``ratio``, so a geometric series bounds the tail.
     """
     ones = sum(1 for p in inner if p == 1)
     log_end = 1.0 + math.log(n + 1)
@@ -198,6 +204,7 @@ def _tail_bound(inner: Composition, z: float, n: int) -> float:
         (n + 1) * math.log(z)
         - math.log(n + 1)
         + ones * math.log(log_end)
+        - math.lgamma(ones + 1)
         + sum(math.log(p / (p - 1)) for p in inner if p > 1)
         - math.log1p(-ratio)
     )
@@ -207,40 +214,37 @@ def _tail_bound(inner: Composition, z: float, n: int) -> float:
         return math.inf
 
 
-def _horizon(s: Composition, z: float, tail: float, cap: int) -> tuple[int, list[float]]:
+def _horizon(s: Composition, z: float, tail: float) -> tuple[int, list[float]]:
     """The plan of Li_s(z): a horizon and the tail-plus-roundoff bound of each suffix depth.
 
-    The horizon is the first FIRST_N * 2^k, at most ``cap``, whose tail bound
+    The horizon is the first FIRST_N * 2^k, at most MAX_N, whose tail bound
     meets ``tail``.  The composition (1, s[1:]) has the largest tail of all
     suffixes of binarise(s), so that bound plus the roundoff bounds each depth.
     """
-    n = min(FIRST_N, cap)
+    n = FIRST_N
     while (tail_bound := _tail_bound(s[1:], z, n)) > tail:
-        if n >= cap:
-            raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {cap}")
-        n = min(2 * n, cap)
+        if n >= MAX_N:
+            raise PrecisionUnreachable(f"polylog {s} at z={z} needs a horizon beyond {MAX_N}")
+        n = min(2 * n, MAX_N)
     return n, [tail_bound + roundoff for roundoff in _roundoffs(len(s), z, n)]
 
 
 def _roundoffs(depth: int, z: float, n: int) -> list[float]:
     """Bounds on the fixed-point error of one truncated Li_u(z), len(u) = 0..``depth`` (module docstring).
 
-    Each is the smaller of the depth-free bound and the earlier (k + 2/(1 - z)) (N + 1) L^k,
-    both from running products over k: no power or factorial is formed, and a
-    product past the float range is inf, not an OverflowError.
+    Each comes from running products over k: no power or factorial is formed,
+    and a product past the float range is inf, not an OverflowError.  Entry 0
+    is never read, since no suffix is empty.
     """
     log = 1.0 + math.log(n)
     powers = 2.0 / (1.0 - z)
     nested = 1.0  # L^k / k!
     tables = carried = 0.0  # L^(k-1) / (k-1)! and (2L)^(k-1) / (k-1)!, none at k = 0
-    earlier = float(n + 1)  # (N + 1) L^k
     out = []
     for k in range(depth + 1):
-        bound = powers * nested + n * (tables + carried) + math.e * n
-        out.append(min(bound, (k + powers) * earlier) * 2.0**-P)
+        out.append((powers * nested + n * (tables + carried) + math.e * n) * 2.0**-P)
         tables, carried = nested, (carried * 2.0 * log / k if k else 1.0)
         nested *= log / (k + 1)
-        earlier *= log
     return out
 
 
@@ -338,9 +342,18 @@ def _suffix_polylogs(s: Composition, z: float, plan: tuple[int, list[float]]) ->
 # -- multiple zeta values ---------------------------------------------------------------
 
 def _dual(s: Composition) -> Composition:
-    """The composition of tau(binarise(s)): the word reversed, x and y swapped."""
-    swap = {"x": "y", "y": "x"}
-    return debinarise(Word(tuple(swap[c] for c in reversed(binarise(s).letters)))).letters
+    """The composition of tau(binarise(s)): the word reversed, x and y swapped.
+
+    Part p, read backwards, gives x y^(p-1); each y ends a dual part one longer than the x-run before it.
+    """
+    dual, run = [], 0
+    for p in reversed(s):
+        if p == 1:
+            run += 1
+        else:
+            dual += [run + 2] + [1] * (p - 2)
+            run = 0
+    return tuple(dual)
 
 
 def _holder(s: Composition) -> MzvEval:
@@ -352,7 +365,7 @@ def _holder(s: Composition) -> MzvEval:
     gamma_(n+2).
     """
     n = sum(s)
-    after, before = [_suffix_polylogs(t, 0.5, _horizon(t, 0.5, MZV_TAIL, DEFAULT_MAX_N)) for t in (s, _dual(s))]
+    after, before = [_suffix_polylogs(t, 0.5, _horizon(t, 0.5, MZV_TAIL)) for t in (s, _dual(s))]
     total = size = err = 0.0
     for k in range(n + 1):
         (a, da), (b, db) = before[n - k], after[k]
@@ -508,19 +521,13 @@ def star_to_strict(s) -> MzvCombination:
 
 # -- polylogarithms ----------------------------------------------------------------
 
-def _check_polylog_args(z: float, precision: float, max_n: int | None) -> int:
-    """The largest horizon allowed: ``max_n``, else ``DEFAULT_MAX_N``."""
+def _check_polylog_args(z: float, precision: float):
     if not 0.0 <= z < 1.0:
         raise DomainError(f"polylog series needs 0 <= z < 1, got {z}")
     _check_precision(precision)
-    if max_n is None:
-        return DEFAULT_MAX_N
-    if max_n < 1:
-        raise DomainError(f"summation cap must be positive, got {max_n}")
-    return max_n
 
 
-def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: float, cap: int, what: str) -> MzvEval:
+def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: float, what: str) -> MzvEval:
     """Sum of coeff * Li_s(z) over (coeff, s) pairs: plan, refuse, kernel, combine.
 
     Coefficients that sum past the float range have an infinite bound.  The tails
@@ -530,7 +537,7 @@ def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: 
     size = sum(abs(coeff) for coeff, _ in terms)
     if size >= _FLOAT_OVERFLOW:
         _require(math.inf, precision, what)
-    plans = [_horizon(s, z, precision / (2.0 * float(size)), cap) if s and z else None for _, s in terms]
+    plans = [_horizon(s, z, precision / (2.0 * float(size))) if s and z else None for _, s in terms]
     planned = 0.0
     for (coeff, s), plan in zip(terms, plans):
         planned += abs(float(coeff)) * plan[1][len(s)] if plan else 0.0
@@ -543,32 +550,22 @@ def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: 
     return MzvEval(total, err)
 
 
-def eval_polylog(
-    s,
-    z: float,
-    precision: float = DEFAULT_PRECISION,
-    max_n: int | None = None,
-) -> MzvEval:
+def eval_polylog(s, z: float, precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Single-variable multiple polylogarithm via its power series, 0 <= z < 1."""
     s = tuple(s)
     _validate_parts(s)
-    cap = _check_polylog_args(z, precision, max_n)
-    return _eval_polylogs([(1, s)], z, precision, cap, f"polylog {s} at z={z}")
+    _check_polylog_args(z, precision)
+    return _eval_polylogs([(1, s)], z, precision, f"polylog {s} at z={z}")
 
 
-def eval_arborified_polylog(
-    forest_or_comb,
-    z: float,
-    precision: float = DEFAULT_PRECISION,
-    max_n: int | None = None,
-) -> MzvEval:
+def eval_arborified_polylog(forest_or_comb, z: float, precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Arborified polylogarithm of a semiconvergent binary forest."""
     from .forest_algebra import convergence_class, flatten
 
-    cap = _check_polylog_args(z, precision, max_n)
+    _check_polylog_args(z, precision)
     comb = _as_comb(forest_or_comb)
     for forest in comb:
         if not convergence_class(forest, Alphabet.XY).is_semiconvergent:
             raise NotSemiconvergent(f"forest {forest!r} is not semiconvergent")
     terms = [(coeff, debinarise(w).letters) for w, coeff in flatten(comb, 0).sorted_items()]
-    return _eval_polylogs(terms, z, precision, cap, f"arborified polylog at z={z}")
+    return _eval_polylogs(terms, z, precision, f"arborified polylog at z={z}")

@@ -50,9 +50,9 @@ class TestPolylog:
             eval_polylog((2,), -0.1)
 
     def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel):
-        """(1^256) at z = 0.99 needs 65,536 terms; capped at 32,768 its tail bound is out of reach."""
-        with pytest.raises(PrecisionUnreachable, match="at z=0.99 needs a horizon beyond 32768$"):
-            eval_polylog((1,) * 256, 0.99, max_n=32768)
+        """(1^256) at z = 0.9999999 needs more terms than the constant cap zeta.MAX_N."""
+        with pytest.raises(PrecisionUnreachable, match=f"at z=0.9999999 needs a horizon beyond {zeta.MAX_N}$"):
+            eval_polylog((1,) * 256, 0.9999999)
 
     @pytest.mark.parametrize("k", [10, 30, 100])
     def test_deep_ones_within_their_bound_of_the_closed_form(self, k):
@@ -113,12 +113,12 @@ class TestArborifiedPolylog:
         # ln 2, ln^2(2)/2, Li_2(1/2) = pi^2/12 - ln^2(2)/2 and ln^2(2)
         assert abs(brute_polylog_forest(forest, 0.5) - want) <= 1e-15
 
-    @pytest.mark.parametrize("vertices,cap", [(30, 4096), (100, 16384)], ids=["30", "100"])
-    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel, vertices, cap):
+    @pytest.mark.parametrize("vertices", [30, 100], ids=["30", "100"])
+    def test_unreachable_bound_is_refused_before_the_kernel(self, no_kernel, vertices):
         """The y-ladder of n vertices flattens to the one word (1^n), which at
-        z = 0.99 needs 8,192 terms for n = 30 and 32,768 for n = 100."""
-        with pytest.raises(PrecisionUnreachable, match=f"at z=0.99 needs a horizon beyond {cap}$"):
-            eval_arborified_polylog(ladder("y" * vertices), 0.99, max_n=cap)
+        z = 0.9999999 needs more terms than the constant cap zeta.MAX_N."""
+        with pytest.raises(PrecisionUnreachable, match=f"at z=0.9999999 needs a horizon beyond {zeta.MAX_N}$"):
+            eval_arborified_polylog(ladder("y" * vertices), 0.9999999)
 
     def test_deep_ladder_within_its_bound_of_the_closed_form(self):
         """The y-ladder of 100 vertices at z = 0.99 is Li_(1^100)(0.99) = (-ln 0.01)^100 / 100!."""

@@ -45,12 +45,18 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite")
 
 
-@pytest.mark.parametrize("bound", [-5, 0])
+@pytest.mark.parametrize("bound", [-5, 0, suites.MAX_WEIGHT_BOUND + 1])
 def test_bad_weight_bound_rejected(bound):
     with pytest.raises(DomainError):
         run_suite("mzv-oracles", bound)
     with pytest.raises(DomainError):
         run_suite("all", bound)
+
+
+def test_weight_bound_help_states_the_maximum(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    assert f"1 to {suites.MAX_WEIGHT_BOUND}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_all_runs_every_suite(monkeypatch):

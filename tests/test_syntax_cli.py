@@ -625,28 +625,22 @@ class TestCli:
         assert "error" in err
 
     def test_cap_override(self):
-        code, _, err = run_cli("polylog", "(3)", "--z", "0.5", "--max-n", "8")
+        """The polylog horizon cap is the constant zeta.MAX_N; z near 1 needs a horizon past it."""
+        code, _, err = run_cli("polylog", "(3)", "--z", "0.9999999")
         assert code == 3
-        assert "needs a horizon beyond 8" in err
+        assert "needs a horizon beyond 10000000" in err
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     @pytest.mark.parametrize("argv", [("eval", "2 2"), ("polylog", "(2)", "--z", "0.5")])
     def test_malformed_cap_is_refused(self, capsys, value, argv):
-        """argparse refuses a non-integer cap (exit 2); the evaluator refuses one below 1 (exit 3).
-
-        ``eval`` has no cap, so argparse refuses ``--max-n`` there whatever its value (exit 2).
-        """
+        """Neither ``eval`` nor ``polylog`` has a cap option, so argparse refuses
+        ``--max-n`` whatever its value (exit 2)."""
         try:
             code = main([*argv, f"--max-n={value}"])
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        if argv[0] == "eval":
-            assert code == 2 and f"unrecognized arguments: --max-n={value}" in err
-        elif value in ("0", "-3"):
-            assert (code, err) == (3, f"error: summation cap must be positive, got {value}\n")
-        else:
-            assert code == 2 and f"argument --max-n: invalid int value: {value!r}" in err
+        assert code == 2 and f"unrecognized arguments: --max-n={value}" in err
         assert "Traceback" not in err and not out
 
 
@@ -754,8 +748,10 @@ class TestWeightBound:
 # Each was refused only after the work: a star index expanded into all its
 # 2^(parts - 1) merges, and a polylog bound exceeded before the kernel ran,
 # for a word and for the 100-vertex y-ladder, which flattens to the same word.
-# Those polylogs are certified now; capped below the horizons they need
-# (65,536 and 32,768 terms), they are refused before the kernel runs.
+# Those polylogs are certified now at z = 0.99; at z = 0.9999999 they need a
+# horizon past zeta.MAX_N, and are refused before the kernel runs.
+# A check weight bound above suites.MAX_WEIGHT_BOUND is refused before any
+# suite starts; bound 9 took a minute and 750 MB.
 # The forest of 171 y-leaves, whose flattening y^171 has the coefficient 171!,
 # past the float range, ended in an OverflowError, and the shuffle of 1,000
 # letters with one more in a RecursionError.  The stuffle of 1^128 with itself
@@ -763,9 +759,9 @@ class TestWeightBound:
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
-    (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.99", "--max-n", "32768"], "needs a horizon beyond 32768"),
-    (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.99", "--max-n", "16384"], "needs a horizon beyond 16384"),
-    (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.99", "--max-n", "16384"], "needs a horizon beyond 16384"),
+    (["polylog", "(" + ",".join(["1"] * MAX_WEIGHT) + ")", "--z", "0.9999999"], "needs a horizon beyond 10000000"),
+    (["polylog", "(" + ",".join(["1"] * 100) + ")", "--z", "0.9999999"], "needs a horizon beyond 10000000"),
+    (["polylog", "y[" * 99 + "y" + "]" * 99, "--z", "0.9999999"], "needs a horizon beyond 10000000"),
     (["polylog", " ".join(["y"] * 171), "--z", "0.5"], "certified error inf exceeds"),
     (["shuffle-words", "(" + ",".join(["1"] * 1000) + ")", "(2)"], "shuffle of words of 1001 letters is above the length bound 256"),
     (
@@ -776,6 +772,7 @@ _REFUSED_BEFORE_THE_WORK = [
         ["shuffle-words", "(" + ",".join(map(str, range(1, 13))) + ")", "(" + ",".join(map(str, range(13, 25))) + ")", "--lambda", "1"],
         "shuffle of words of 12 and 12 letters has 2.52e+08 terms",
     ),
+    (["check", "--weight-bound", "9"], "weight bound must be from 1 to 8, got 9"),
 ]
 
 

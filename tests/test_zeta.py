@@ -155,23 +155,57 @@ class TestFixedPointKernel:
     @pytest.mark.parametrize("weight", range(2, 9))
     def test_mzv_suffixes_at_half(self, weight):
         for s in compositions_of(weight, first_min=2):
-            n, _ = zeta._horizon(s, 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)
+            n, _ = zeta._horizon(s, 0.5, MZV_TAIL)
             for u, gap, bound in _roundoff_gaps(s, 0.5, n):
                 assert -self.FLOOR <= gap <= bound, (s, u)
 
     @pytest.mark.parametrize("z", [0.25, 0.5, 0.9, 0.99])
     def test_polylogs(self, z):
         for s in [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 1, 1), (3, 1, 2)]:
-            n, _ = zeta._horizon(s, z, 0.5e-10, zeta.DEFAULT_MAX_N)
+            n, _ = zeta._horizon(s, z, 0.5e-10)
             for u, gap, bound in _roundoff_gaps(s, z, n):
                 assert -self.FLOOR <= gap <= bound, (s, z, u)
 
     def test_zeta_horizons_stay_far_below_the_cap(self):
-        """The deepest index of the weight bound, (2, 1^254), needs 1,024 terms and its dual (256) 64."""
+        """The deepest index of the weight bound, (2, 1^254), needs 128 terms and its dual (256) 64."""
         deepest = (2,) + (1,) * (MAX_WEIGHT - 2)
-        assert zeta._horizon(deepest, 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)[0] == 1024
+        assert zeta._horizon(deepest, 0.5, MZV_TAIL)[0] == 128
         assert zeta._dual(deepest) == (MAX_WEIGHT,)
-        assert zeta._horizon((MAX_WEIGHT,), 0.5, MZV_TAIL, zeta.DEFAULT_MAX_N)[0] == 64
+        assert zeta._horizon((MAX_WEIGHT,), 0.5, MZV_TAIL)[0] == 64
+
+    @pytest.mark.parametrize("z, tail", [(0.5, MZV_TAIL)] + [(z, 0.5e-10) for z in (0.25, 0.5, 0.9, 0.99)])
+    def test_no_horizon_grows(self, z, tail):
+        """Dividing the tail majorant by ones! never lengthens a horizon: at every
+        depth up to the weight bound, each is at most the one that the majorant
+        prod zeta(p) (1 + ln m)^ones, without the factorial, gives."""
+
+        def undivided_horizon(s):
+            n = zeta.FIRST_N
+            while undivided_tail(s[1:], n) > tail:
+                n *= 2
+            return n
+
+        def undivided_tail(inner, n):
+            ones = inner.count(1)
+            log_end = 1.0 + math.log(n + 1)
+            ratio = z * math.exp(ones / ((n + 1) * log_end))
+            if ratio >= 1.0:
+                return math.inf
+            return math.exp(
+                (n + 1) * math.log(z)
+                - math.log(n + 1)
+                + ones * math.log(log_end)
+                + sum(math.log(p / (p - 1)) for p in inner if p > 1)
+                - math.log1p(-ratio)
+            )
+
+        shortened = 0
+        for weight in range(2, MAX_WEIGHT + 1):
+            for s in [(1,) * weight, (2,) + (1,) * (weight - 2)]:
+                n, before = zeta._horizon(s, z, tail)[0], undivided_horizon(s)
+                assert n <= before, (s, z)
+                shortened += n < before
+        assert shortened
 
     def test_block_walk_floors_as_one_pass(self, monkeypatch):
         s, z, n = (3, 1, 2), 0.9, 200
@@ -184,8 +218,9 @@ class TestFixedPointKernel:
         clear_mzv_cache()
 
     def test_tail_bound_past_float_range_is_infinite(self):
-        # The tail majorant of (1, 1^1598) at n = 1024 overflows a float.
-        assert zeta._tail_bound((1,) * 1598, 0.5, 1024) == math.inf
+        # The index of an arborified polylog is not bounded by weight: the tail
+        # majorant of 1,100 inner parts 2 near z = 1, about 2^1100, overflows a float.
+        assert zeta._tail_bound((2,) * 1100, 0.999999, 64) == math.inf
 
     @pytest.mark.parametrize("z", [0.5, 0.9])
     def test_roundoff_against_exact_fractions(self, z):
@@ -203,11 +238,13 @@ class TestFixedPointKernel:
                 assert 0 <= gap <= Fraction(bounds[len(u)]), (s, u)
 
     def test_roundoff_bound_never_grows(self):
-        """The depth-free bound is never above the earlier (k + 2/(1 - z)) (N + 1) L^k 2^-P,
-        at every depth up to the weight bound and every horizon 2^j up to 2^24."""
+        """The depth-free bound is never above the L^k-shaped (k + 2/(1 - z)) (N + 1) L^k 2^-P,
+        at every depth 1..MAX_WEIGHT the kernel reads and every horizon it can pick:
+        FIRST_N * 2^j below MAX_N, and MAX_N."""
+        horizons = [n for n in (zeta.FIRST_N << j for j in range(24)) if n < zeta.MAX_N] + [zeta.MAX_N]
         for z in (0.25, 0.5, 0.9, 0.99):
-            for n in [2**j for j in range(25)]:
-                for k, bound in enumerate(zeta._roundoffs(MAX_WEIGHT, z, n)):
+            for n in horizons:
+                for k, bound in enumerate(zeta._roundoffs(MAX_WEIGHT, z, n)[1:], 1):
                     try:
                         earlier = (k + 2 / (1 - z)) * (n + 1) * (1 + math.log(n)) ** k * 2.0**-zeta.P
                     except OverflowError:
@@ -215,7 +252,7 @@ class TestFixedPointKernel:
                     assert bound <= earlier, (z, n, k)
 
     def test_roundoff_stays_small_at_every_depth(self):
-        """At the deepest zeta horizon, N = 1,024, no depth up to the weight bound needs more than 1e-29."""
+        """At N = 1,024, four times the longest zeta horizon, no depth up to the weight bound needs more than 1e-29."""
         assert max(zeta._roundoffs(MAX_WEIGHT, 0.5, 1024)) < 1e-29
 
     def test_clear_empties_kernel_memos(self):
@@ -256,6 +293,13 @@ class TestIndependentOracles:
             ev = eval_mzv((n,), "strict", 1e-12)
             assert abs(mp.mpf(ev.value) - mp.zeta(n)) <= ev.abs_error, n
 
+    def test_two_then_ones_is_dual_to_one_part(self):
+        """Duality: zeta(2, 1^k) = zeta(k + 2), within the sum of both bounds, for every k
+        of the weight bound."""
+        for k in range(MAX_WEIGHT - 1):
+            a, b = eval_mzv((2,) + (1,) * k, "strict", 1e-12), eval_mzv((k + 2,), "strict", 1e-12)
+            assert abs(a.value - b.value) <= a.abs_error + b.abs_error, k
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_three_one_strings(self, k):
         ev = eval_mzv((3, 1) * k, "strict", 1e-12)
@@ -281,10 +325,11 @@ class TestPrecisionArgument:
         with pytest.raises(DomainError):
             eval_arborified_polylog(tree_forest(leaf("y")), 0.5, precision)
 
-    @pytest.mark.parametrize("cap", [8, 16])
-    def test_polylog_honours_cap(self, cap):
-        with pytest.raises(PrecisionUnreachable):
-            eval_polylog((3,), 0.5, 1e-10, max_n=cap)
+    @pytest.mark.parametrize("part", [8, 16])
+    def test_polylog_honours_cap(self, part):
+        """Near z = 1 the tail bound meets the precision only past the constant cap zeta.MAX_N."""
+        with pytest.raises(PrecisionUnreachable, match=f"needs a horizon beyond {zeta.MAX_N}$"):
+            eval_polylog((part,), 0.9999999, 1e-10)
 
     def test_polylog_below_floor_fails(self):
         with pytest.raises(PrecisionUnreachable):
@@ -300,13 +345,6 @@ class TestPrecisionArgument:
             with pytest.raises(DomainError):
                 MzvCombination({index: 1}, "star")
         assert MzvCombination({(MAX_WEIGHT,): 1}).terms == {(MAX_WEIGHT,): 1}
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
-            eval_polylog((3,), 0.5, 1e-10, max_n=0)
-        y = tree_forest(leaf("y"))
-        with pytest.raises(DomainError, match="^summation cap must be positive, got 0$"):
-            eval_arborified_polylog(LinComb({y: 1}) - LinComb({y: 1}), 0.5, 1e-10, max_n=0)
 
 
 class TestStarToStrict:
