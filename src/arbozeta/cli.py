@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", help="run identity suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--weight-bound", type=int, default=6, help="largest weight checked, 1 to 8 (default: 6)")
-    p.add_argument("--precision", type=float, default=1e-8)
 
     return parser
 
@@ -189,7 +188,7 @@ def _check(args) -> int:
     from . import suites
 
     try:
-        report = suites.run_suite(args.suite, args.weight_bound, args.precision)
+        report = suites.run_suite(args.suite, args.weight_bound)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_PARSE_ERROR

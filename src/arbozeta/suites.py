@@ -15,13 +15,11 @@ Each entry passes by what its values carry:
   decimal constant read as a float by its rounding, 2^-53 |c| (``_decimal``).
   Every closed form (pi^2/6, ln 2, c zeta(n)) is such a constant, written
   to at least 20 digits.  A numeric family (``_tally``) counts its cases
-  outside their own bounds: each ``hoffman-words`` combination within its
-  bound of 0, and the threshold claims of ``theorem5`` and ``hoffman-trees``
-  as a gap or defect beyond the sum of the bounds.
-
-One family is the exception: ``brute_polylog_forest``, the power-series
-polylog oracle, is a float sum with no derived bound, so its gaps are held
-to the requested precision.
+  outside their own bounds: each gap to the two brute-force oracles,
+  ``brute_force_azv`` and ``brute_polylog_forest``, within the sum of its
+  two sides' bounds, each ``hoffman-words`` combination within its bound of
+  0, and the threshold claims of ``theorem5`` and ``hoffman-trees`` as a gap
+  or defect beyond the sum of the bounds.
 
 A family that fails names its first failing case in its instance text.
 """
@@ -85,6 +83,7 @@ from .words import (
     shuffle_words_basis,
 )
 from .zeta import (
+    DEFAULT_PRECISION,
     FLAVORS,
     MzvCombination,
     MzvEval,
@@ -856,16 +855,49 @@ def brute_force_azv(forest: Forest, horizon: int, flavor: str = "stuffle") -> Mz
     return MzvEval(value, err)
 
 
-def brute_polylog_forest(forest: Forest, z: float) -> float:
+SERIES_TERMS = 400  # degrees 0..SERIES_TERMS-1 of brute_polylog_forest's series
+
+
+def brute_polylog_forest(forest: Forest, z: float) -> MzvEval:
     """Power-series oracle for arborified polylogarithms on [0, z], z < 1.
 
     Realizes the branched integration directly on truncated power series:
     the x-vertex divides by t and integrates, the y-vertex convolves with the
     geometric series (prefix sums) and integrates.  Completely independent of
     the flattening/reduction path.  A series is held as its lowest degree and
-    the coefficients from there up to degree ``terms - 1``.
+    the coefficients from there up to degree T - 1, T = SERIES_TERMS, which
+    are exact coefficients of the whole series: no operation moves a degree
+    down.
+
+    The bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., 2002, section 3.1) has two parts.  First the rounding: z and every
+    coefficient are >= 0 (a y-leaf gives 1/k, a y-vertex takes prefix sums
+    and divides by the degree, an x-vertex divides by it, and products
+    multiply nonnegative series), so no rounding error cancels.  A value that
+    passed at most D roundings of unit roundoff u lies within
+    gamma_D = D u / (1 - D u) of the exact truncated series, so within
+    D u / (1 - 2 D u) of itself.  In a forest of V vertices, each vertex is
+    one factor of a product, whose sums of at most T products take T
+    roundings (Python's compensated float sum, from 3.12 on, errs less), and
+    divides once; a y-vertex also takes prefix sums, fewer than T roundings.
+    Horner's rule adds 2T, and the powers of z up to the lowest degree at
+    most V.  So D = 2 (V + 1) T + 2V.  The count is relative, so it holds
+    while every rounding stays in the normal float range.  Every nonzero kept
+    coefficient is at least T^-V (a sum or product of such coefficients,
+    divided by a degree below T once per vertex), so every intermediate is
+    at least (z / T)^V; the bound is inf unless (z / T)^V z^T is a normal
+    float, which keeps z^T in the tail below normal too.
+
+    Then the dropped degrees: for k >= T the coefficient c_k of a nonempty
+    forest is at most (k + 1)^(V - 1), by induction over the vertices: a
+    y-leaf gives 1/k, a vertex divides a sum of at most k coefficients of its
+    children's product by k, and the product of forests of V1 and V2
+    vertices sums k + 1 products, at most (k + 1)^(V1 + V2 - 1).  The ratio
+    of successive majorants, z ((k + 2)/(k + 1))^(V - 1), falls with k, so
+    the tail is at most (T + 1)^(V - 1) z^T / (1 - rho) with rho that ratio
+    at k = T, and inf when rho >= 1.
     """
-    terms = 400
+    terms = SERIES_TERMS
 
     def times(a, b):
         (low_a, ca), (low_b, cb) = a, b
@@ -893,7 +925,15 @@ def brute_polylog_forest(forest: Forest, z: float) -> float:
     value = 0.0
     for c in reversed(coeffs):  # Horner
         value = value * z + c
-    return value * z**low
+    for _ in range(low):
+        value *= z
+    vertices = forest.vertex_count
+    rho = z * ((terms + 2) / (terms + 1)) ** (vertices - 1)
+    if rho >= 1.0 or (z / terms) ** vertices * z**terms < 2.0**-1022:
+        return MzvEval(value, math.inf)
+    roundings = 2 * (vertices + 1) * terms + 2 * vertices
+    tail = (terms + 1.0) ** (vertices - 1) * z**terms / (1.0 - rho)
+    return MzvEval(value, roundings * 2.0**-53 / (1.0 - 2.0 * roundings * 2.0**-53) * value + tail)
 
 
 def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
@@ -911,16 +951,16 @@ def suite_polylog(bound: int, precision: float) -> Iterator[dict]:
     yield _certified("arborified Li of the y-ladder = ln^2(2)/2", ev, half_ln2_squared)
 
     max_vertices = min(4, bound - 2)
-    gaps = {
-        forest: abs(eval_arborified_polylog(forest, z, precision).value - brute_polylog_forest(forest, z))
-        for forest in forests_up_to(max_vertices, ("x", "y"), include_empty=False)
-        if convergence_class(forest, Alphabet.XY).is_semiconvergent
-    }
-    worst = max(gaps.values(), default=0.0)
+    gaps = {}
+    for forest in forests_up_to(max_vertices, ("x", "y"), include_empty=False):
+        if convergence_class(forest, Alphabet.XY).is_semiconvergent:
+            ev, brute = eval_arborified_polylog(forest, z, precision), brute_polylog_forest(forest, z)
+            gaps[forest] = MzvEval(ev.value - brute.value, ev.abs_error + brute.abs_error)
+    worst = max((abs(gap.value) for gap in gaps.values()), default=0.0)
     yield _tally(
         f"arborified polylog matches the power-series oracle [{len(gaps)} forests, worst {worst:.3g}]",
         gaps,
-        lambda forest: gaps[forest] > precision,
+        lambda forest: abs(gaps[forest].value) > gaps[forest].abs_error,
         worst,
     )
 
@@ -989,7 +1029,7 @@ def _named_report(name: str, bound: int, precision: float) -> tuple[str, list[di
     return name, run_suite(name, bound, precision)
 
 
-def run_suite(name: str, bound: int = 6, precision: float = 1e-8) -> list[dict]:
+def run_suite(name: str, bound: int = 6, precision: float = DEFAULT_PRECISION) -> list[dict]:
     """Report entries of one suite, or of every suite of ``SUITES`` for ``"all"``.
 
     Each entry is named here, with the suite's ``SUITES`` key as its first key.

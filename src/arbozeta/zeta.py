@@ -105,6 +105,8 @@ BLOCK = 4096  # horizons longer than this are walked in blocks of this many term
 _ONE = 1 << P
 _SCALE3 = 1 << 3 * P  # scale of a sum of products of three fixed-point factors
 _F64_U = 2.0**-53  # unit roundoff of float
+_F64_TINY = 2.0**-1022  # the least normal float
+_F64_ETA = 2.0**-1074  # the spacing of floats below the normal range, twice a rounding's error there
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least number that float() rounds past the largest float
 
 # The kernel's memos, emptied by clear_mzv_cache.  Tables, powers, weights
@@ -256,22 +258,25 @@ def _suffixes(s: Composition) -> list[Composition]:
     return [(r,) + s[j + 1:] for j in range(len(s)) for r in range(s[j], 0, -1)]
 
 
-def _fixed_polylogs(s: Composition, z: float, n: int) -> dict[Composition, int]:
-    """2^(3P) times Li_u(z) truncated at m <= n, for every u in _suffixes(s), in order.
+def _fixed_polylogs(suffixes: list[Composition], z: float, n: int) -> dict[Composition, int]:
+    """2^(3P) times Li_u(z) truncated at m <= n, for every u of ``suffixes``, in order.
 
-    Each summand z^m m^-r S_v(m) of u = (r, v) is an exact product of three
-    fixed-point factors, each one floor below its true value: the power
-    floor(2^P z^m), the table entry floor(2^P / m^r) and the strict inner
-    sum S_v(m) at 2^P.  The first two are multiplied once per (r, z, n)
-    into a weight table, so a value is one dot product.  One innermost-first
-    pass over s builds the levels S_v for its suffixes v, each from the one
-    below by an exact cumulative sum floored once per entry.  The horizon is
-    walked in blocks of BLOCK terms, carrying the exact cumulative sums from
-    block to block, so a block walk floors exactly as one pass would.  Sums
-    are memoised per (u, z, n), and tables, powers, weights and levels for
+    ``suffixes`` are suffixes of binarise(s) for s, the first of them, as
+    :func:`_suffixes` lists them, longest first.  Each summand
+    z^m m^-r S_v(m) of u = (r, v) is an exact product of three fixed-point
+    factors, each one floor below its true value: the power floor(2^P z^m),
+    the table entry floor(2^P / m^r) and the strict inner sum S_v(m) at 2^P.
+    The first two are multiplied once per (r, z, n) into a weight table, so a
+    value is one dot product.  One innermost-first pass over s builds the
+    levels S_v down to the longest suffix asked for, each from the one below
+    by an exact cumulative sum floored once per entry.  The horizon is walked
+    in blocks of BLOCK terms, carrying the exact cumulative sums from block to
+    block, so a block walk floors exactly as one pass would.  Sums are
+    memoised per (u, z, n), and tables, powers, weights and levels for
     horizons of one block.
     """
-    sums = {u: _SUMS.get((u, z, n)) for u in _suffixes(s)}
+    s = suffixes[0]
+    sums = {u: _SUMS.get((u, z, n)) for u in suffixes}
     todo = {u: 0 for u, total in sums.items() if total is None}
     if todo:
         first = len(s) - max(map(len, todo))  # the outermost part a missing suffix starts in
@@ -327,16 +332,16 @@ def _kept(cache: dict, key, keep: bool, build):
     return value
 
 
-def _suffix_polylogs(s: Composition, z: float, plan: tuple[int, list[float]]) -> list[tuple[float, float]]:
-    """(value, error bound) of Li_u(z) for every suffix u of binarise(s), the empty one last.
+def _suffix_polylogs(suffixes: list[Composition], z: float, plan: tuple[int, list[float]]) -> list[tuple[float, float]]:
+    """(value, error bound) of Li_u(z) for every u of ``suffixes`` (see :func:`_fixed_polylogs`), in order.
 
-    Entry p is the suffix that starts at letter p.  Each value is one
-    correctly rounded division of the fixed-point sum at the plan's horizon;
-    its bound adds the plan's bound for its depth and the rounding to float.
+    Each value is one correctly rounded division of the fixed-point sum at
+    the plan's horizon; its bound adds the plan's bound for its depth and the
+    rounding to float.
     """
     n, bounds = plan
-    values = [(len(u), total / _SCALE3) for u, total in _fixed_polylogs(s, z, n).items()]
-    return [(value, bounds[depth] + _F64_U * value) for depth, value in values] + [(1.0, 0.0)]
+    values = [(len(u), total / _SCALE3) for u, total in _fixed_polylogs(suffixes, z, n).items()]
+    return [(value, bounds[depth] + _F64_U * value) for depth, value in values]
 
 
 # -- multiple zeta values ---------------------------------------------------------------
@@ -360,12 +365,15 @@ def _holder(s: Composition) -> MzvEval:
     """Strict zeta(s) by Hölder convolution at z = 1/2, to the kernel's floor.
 
     Suffixes of tau(w) are the tau-images of prefixes of w, so two kernel
-    passes, over s and over its dual, give every factor.  Products propagate
-    |a| db + |b| da + da db, and the final float sum of n + 1 products adds
-    gamma_(n+2).
+    passes, over s and over its dual, give every factor: entry p of each
+    list is the suffix that starts at letter p, the empty one last.
+    Products propagate |a| db + |b| da + da db, and the final float sum of
+    n + 1 products adds gamma_(n+2).
     """
     n = sum(s)
-    after, before = [_suffix_polylogs(t, 0.5, _horizon(t, 0.5, MZV_TAIL)) for t in (s, _dual(s))]
+    after, before = [
+        _suffix_polylogs(_suffixes(t), 0.5, _horizon(t, 0.5, MZV_TAIL)) + [(1.0, 0.0)] for t in (s, _dual(s))
+    ]
     total = size = err = 0.0
     for k in range(n + 1):
         (a, da), (b, db) = before[n - k], after[k]
@@ -379,16 +387,42 @@ def _combine(terms) -> tuple[float, float]:
     """Float sum of coeff * ev.value over (coeff, ev) pairs, with its bound.
 
     A summand passes at most len(terms) - 1 additions, plus the conversion of
-    its coefficient and the product when the coefficient is not +-1.
+    its coefficient and the product when the coefficient is not +-1.  That
+    count is relative.  Below the normal range a rounding errs by up to
+    2^-1075 instead, so a summand whose coefficient is not +-1 also adds twice
+    that for its coefficient (times |value| + abs_error), its product and the
+    product |c| abs_error of its bound; in the normal range the addition is
+    absorbed.  A sum that lands below the normal range is exact.
+    Coefficients must lie below the float range (:func:`_coefficient_size`).
     """
-    m = len(terms)
+    unit, scaled = _gamma(len(terms) - 1, _F64_U), _gamma(len(terms) + 1, _F64_U)
     total = err = 0.0
     for coeff, ev in terms:
         c = float(coeff)
         x = c * ev.value
         total += x
-        err += abs(c) * ev.abs_error + _gamma(m - 1 if abs(coeff) == 1 else m + 1, _F64_U) * abs(x)
+        if abs(coeff) == 1:
+            err += ev.abs_error + unit * abs(x)
+        else:
+            err += abs(c) * ev.abs_error + scaled * abs(x)
+            if ev.value or ev.abs_error:
+                err += _F64_ETA * (abs(ev.value) + ev.abs_error + 2.0)
     return total, err
+
+
+def _coefficient_size(coeffs, precision: float, what: str) -> float:
+    """The sum of |coeff| as a float, 0 or a normal float.
+
+    Coefficients that sum past the float range have an infinite bound, and a
+    nonzero sum below the normal range, where every coefficient rounds to a
+    float with no relative precision left, is refused.
+    """
+    size = sum(map(abs, coeffs))
+    if size >= _FLOAT_OVERFLOW:
+        _require(math.inf, precision, what)
+    if 0 < size < _F64_TINY:
+        raise DomainError(f"{what}: coefficients sum below the least normal float, {_F64_TINY:g}")
+    return float(size)
 
 
 _MZV_CACHE: dict[tuple[str, Composition], MzvEval] = {}
@@ -473,10 +507,12 @@ def reduce_azv(comb: LinComb[Forest] | Forest, flavor: str) -> MzvCombination:
 def eval_combination(comb: MzvCombination, precision: float = DEFAULT_PRECISION) -> MzvEval:
     """Sum of coeff * zeta(index), each term at the kernel's floor.
 
-    A star index of too many parts is refused before any kernel runs.
+    A star index of too many parts, or coefficients whose sum is outside the
+    normal float range, are refused before any kernel runs.
     """
     _check_precision(precision)
     items = comb.sorted_items()
+    _coefficient_size(comb.terms.values(), precision, "combination")
     if comb.flavor == "star":
         for index, _ in items:
             _check_star_parts(index)
@@ -530,20 +566,18 @@ def _check_polylog_args(z: float, precision: float):
 def _eval_polylogs(terms: list[tuple[Coeff, Composition]], z: float, precision: float, what: str) -> MzvEval:
     """Sum of coeff * Li_s(z) over (coeff, s) pairs: plan, refuse, kernel, combine.
 
-    Coefficients that sum past the float range have an infinite bound.  The tails
-    take at most half the budget.  The planned bounds, summed in _combine's order
-    and each below its final counterpart, are a float lower bound of the final error.
+    The tails take at most half the budget.  The planned bounds, summed in
+    _combine's order and each below its final counterpart, are a float lower
+    bound of the final error.
     """
-    size = sum(abs(coeff) for coeff, _ in terms)
-    if size >= _FLOAT_OVERFLOW:
-        _require(math.inf, precision, what)
-    plans = [_horizon(s, z, precision / (2.0 * float(size))) if s and z else None for _, s in terms]
+    size = _coefficient_size((coeff for coeff, _ in terms), precision, what)
+    plans = [_horizon(s, z, precision / (2.0 * size)) if s and z else None for _, s in terms]
     planned = 0.0
     for (coeff, s), plan in zip(terms, plans):
         planned += abs(float(coeff)) * plan[1][len(s)] if plan else 0.0
     _require(planned, precision, what)
     total, err = _combine([
-        (coeff, MzvEval(*_suffix_polylogs(s, z, plan)[0]) if plan else MzvEval(0.0 if s else 1.0, 0.0))
+        (coeff, MzvEval(*_suffix_polylogs([s], z, plan)[0]) if plan else MzvEval(0.0 if s else 1.0, 0.0))
         for (coeff, s), plan in zip(terms, plans)
     ])
     _require(err, precision, what)

@@ -202,7 +202,7 @@ def test_all_reports_an_uncertifiable_value_as_one_failed_entry(monkeypatch, cap
         else:
             expected += [{"suite": n, "instance": f"{n} {i}", "pass": True} for i in range(2)]
     assert report == expected
-    assert cli.main(["check", "--suite", "all", "--weight-bound", "3", "--precision", "1e-12"]) == cli.EXIT_CHECK_FAILED
+    assert cli.main(["check", "--suite", "all", "--weight-bound", "3"]) == cli.EXIT_CHECK_FAILED
     out, err = capsys.readouterr()
     assert f"[FAIL] morphisms: suite stopped by PrecisionUnreachable: {error}\n" in out and not err
 
@@ -301,6 +301,16 @@ def test_closed_forms_fail_on_an_error_of_1e12_in_every_value(monkeypatch):
         entries = run_suite(name, 6, 1e-8)[:closed_forms]
         assert all(isinstance(e["rhs"], float) for e in entries), name
         assert not any(e["pass"] for e in entries), [e["instance"] for e in entries if e["pass"]]
+
+
+def test_series_oracle_fails_on_an_error_of_1e12(monkeypatch):
+    """The power-series polylog oracle has a derived bound, at most 2.3e-13
+    here, and each gap is held to the sum of the two sides' bounds, not to
+    the precision: 1e-12 added to every arborified polylog fails all 36 forests."""
+    monkeypatch.setattr(suites, "eval_arborified_polylog", _shifted(suites.eval_arborified_polylog))
+    [oracle] = [e for e in run_suite("polylog", 6, 1e-8) if "power-series oracle" in e["instance"]]
+    assert oracle["instance"].startswith("arborified polylog matches the power-series oracle [36 forests, worst 1e-12]")
+    assert oracle["residual"] == 36.0 and not oracle["pass"]
 
 
 def test_thresholds_fail_on_an_error_of_1e12(monkeypatch):

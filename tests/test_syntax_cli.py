@@ -530,7 +530,7 @@ class TestCli:
         assert out.strip() == "x[y[y,y]]"
 
     def test_check_single_suite(self):
-        code, out, _ = run_cli("check", "--suite", "mzv-oracles", "--precision", "1e-8")
+        code, out, _ = run_cli("check", "--suite", "mzv-oracles")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
@@ -642,6 +642,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 2 and f"unrecognized arguments: --max-n={value}" in err
         assert "Traceback" not in err and not out
+
+    def test_check_has_no_precision_option(self, capsys):
+        """Every check entry passes exactly or within its certified bounds, so
+        ``check`` takes no precision: argparse refuses it (exit 2)."""
+        try:
+            code = main(["check", "--suite", "mzv-oracles", "--precision", "1e-8"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and "unrecognized arguments: --precision 1e-8" in err
+        assert "Traceback" not in err and not out
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "--precision" not in capsys.readouterr().out
 
 
 def _ladder(decoration, depth):
@@ -756,6 +770,10 @@ class TestWeightBound:
 # past the float range, ended in an OverflowError, and the shuffle of 1,000
 # letters with one more in a RecursionError.  The stuffle of 1^128 with itself
 # ran out of memory, and that of (1..12) with (13..24) ran for over a minute.
+# A coefficient past the float range ended in an OverflowError in eval; a
+# polylog whose coefficients sum below the normal float range in a
+# ZeroDivisionError, and eval of such a sum printed 0 with the bound 0.
+_NINES = "9" * 400
 _REFUSED_BEFORE_THE_WORK = [
     (["eval", "--flavor", "star", _ladder(2, 20)], f"star index of 21 parts is above the bound of {MAX_STAR_PARTS}"),
     (["eval", "--flavor", "star", _ladder(2, 100)], f"star index of 101 parts is above the bound of {MAX_STAR_PARTS}"),
@@ -773,6 +791,10 @@ _REFUSED_BEFORE_THE_WORK = [
         "shuffle of words of 12 and 12 letters has 2.52e+08 terms",
     ),
     (["check", "--weight-bound", "9"], "weight bound must be from 1 to 8, got 9"),
+    (["eval", f"{_NINES}*2"], "combination: certified error inf exceeds 1e-08"),
+    (["polylog", f"1/{_NINES}*x[y]", "--z", "0.5"], "coefficients sum below the least normal float"),
+    (["eval", f"1/{_NINES}*2"], "combination: coefficients sum below the least normal float"),
+    (["eval", "--flavor", "star", f"1/{_NINES}*2[1]"], "combination: coefficients sum below the least normal float"),
 ]
 
 

@@ -138,7 +138,7 @@ def _exact_weights(r, z, n):
 def _roundoff_gaps(s, z, n):
     """(suffix, exact - kernel, roundoff bound) for every suffix of binarise(s) at horizon n."""
     with mp.workdps(50):
-        for u, fixed in zeta._fixed_polylogs(s, z, n).items():
+        for u, fixed in zeta._fixed_polylogs(zeta._suffixes(s), z, n).items():
             exact = mp.fsum(map(mp.fmul, _exact_weights(u[0], z, n), _exact_level(u[1:], n)))
             yield u, exact - mp.mpf(fixed) / mp.mpf(2) ** (3 * zeta.P), zeta._roundoffs(len(u), z, n)[-1]
 
@@ -210,11 +210,25 @@ class TestFixedPointKernel:
     def test_block_walk_floors_as_one_pass(self, monkeypatch):
         s, z, n = (3, 1, 2), 0.9, 200
         clear_mzv_cache()
-        whole = zeta._fixed_polylogs(s, z, n)
+        whole = zeta._fixed_polylogs(zeta._suffixes(s), z, n)
         clear_mzv_cache()
         monkeypatch.setattr(zeta, "BLOCK", 16)  # 12 full blocks and a partial one
-        assert zeta._fixed_polylogs(s, z, n) == whole
+        assert zeta._fixed_polylogs(zeta._suffixes(s), z, n) == whole
         assert not (zeta._TABLES or zeta._ZPOWERS or zeta._WEIGHTS or zeta._LEVELS)
+        clear_mzv_cache()
+
+    def test_polylog_sums_only_the_suffix_it_reads(self):
+        """eval_polylog reads Li_s alone, so the kernel stores one sum; asking
+        for every suffix afterwards gives the sums of one pass over all of them."""
+        s, z = (3, 1, 2), 0.9
+        clear_mzv_cache()
+        eval_polylog(s, z, 1e-10)
+        [(u, _, n)] = zeta._SUMS
+        assert u == s
+        after = zeta._fixed_polylogs(zeta._suffixes(s), z, n)
+        assert len(zeta._SUMS) == len(zeta._suffixes(s)) == 6
+        clear_mzv_cache()
+        assert zeta._fixed_polylogs(zeta._suffixes(s), z, n) == after
         clear_mzv_cache()
 
     def test_tail_bound_past_float_range_is_infinite(self):
@@ -229,7 +243,7 @@ class TestFixedPointKernel:
         n, x = 64, Fraction(z)
         for s in [(2,) + (1,) * 11, (3, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1), (2, 2, 2, 2, 2, 2)]:
             bounds = zeta._roundoffs(len(s), z, n)
-            for u, fixed in zeta._fixed_polylogs(s, z, n).items():
+            for u, fixed in zeta._fixed_polylogs(zeta._suffixes(s), z, n).items():
                 level = [Fraction(1)] * n  # S_v(m), m = 1..n, innermost first
                 for part in reversed(u[1:]):
                     level = list(accumulate((t / m**part for m, t in enumerate(level, 1)), initial=Fraction(0)))[:n]
