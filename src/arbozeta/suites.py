@@ -886,7 +886,7 @@ def brute_polylog_forest(forest: Forest, z: float) -> MzvEval:
     coefficient is at least T^-V (a sum or product of such coefficients,
     divided by a degree below T once per vertex), so every intermediate is
     at least (z / T)^V; the bound is inf unless (z / T)^V z^T is a normal
-    float, which keeps z^T in the tail below normal too.
+    float, which keeps z^T in the tail normal too.
 
     Then the dropped degrees: for k >= T the coefficient c_k of a nonempty
     forest is at most (k + 1)^(V - 1), by induction over the vertices: a
